@@ -19,7 +19,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
-from ._util import canonical_dumps, format_ts, parse_ts
+from ._util import canonical_dumps, decode, encode
 from .errors import BadBoundaries, ExportError
 from .honeylink import AccessLogEntry, parse_user_agent
 from .notify import EventTimeline
@@ -79,11 +79,6 @@ class GeoTable:
             writer.writerows(self.entries)
 
 
-def geolocate(ip: str, table: GeoTable) -> str:
-    """Country of the longest matching prefix, or "unknown"."""
-    return table.lookup(ip)
-
-
 @dataclass(frozen=True)
 class ExperimentWindow:
     """Half-open time range [start, end) labelling one experiment."""
@@ -99,17 +94,10 @@ class ExperimentWindow:
     def contains(self, at: datetime) -> bool:
         return self.start <= at < self.end
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "start": format_ts(self.start), "end": format_ts(self.end)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ExperimentWindow:
-        return cls(name=data["name"], start=parse_ts(data["start"]), end=parse_ts(data["end"]))
-
 
 def load_windows(path: str | Path) -> list[ExperimentWindow]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [ExperimentWindow.from_dict(item) for item in data]
+    return [decode(ExperimentWindow, item) for item in data]
 
 
 @dataclass
@@ -132,33 +120,9 @@ class ReportSection:
             if country != UNKNOWN_COUNTRY and count > 0
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "open_count": self.open_count,
-            "modification_count": self.modification_count,
-            "modification_class_histogram": dict(sorted(self.modification_class_histogram.items())),
-            "click_count": self.click_count,
-            "unique_ip_count": self.unique_ip_count,
-            "controlled_link_visit_count": self.controlled_link_visit_count,
-            "country_histogram": dict(sorted(self.country_histogram.items())),
-            "browser_histogram": dict(sorted(self.browser_histogram.items())),
-            "os_histogram": dict(sorted(self.os_histogram.items())),
-            "distinct_country_count": self.distinct_country_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ReportSection:
-        return cls(
-            open_count=data["open_count"],
-            modification_count=data["modification_count"],
-            modification_class_histogram=dict(data["modification_class_histogram"]),
-            click_count=data["click_count"],
-            unique_ip_count=data["unique_ip_count"],
-            controlled_link_visit_count=data["controlled_link_visit_count"],
-            country_histogram=dict(data["country_histogram"]),
-            browser_histogram=dict(data["browser_histogram"]),
-            os_histogram=dict(data["os_histogram"]),
-        )
+    def _wire_out(self, data: dict) -> dict:
+        data["distinct_country_count"] = self.distinct_country_count
+        return data
 
 
 @dataclass
@@ -166,8 +130,9 @@ class ExperimentReport:
     window: ExperimentWindow
     section: ReportSection
 
-    def to_dict(self) -> dict:
-        return {**self.window.to_dict(), **self.section.to_dict()}
+    def _wire_out(self, data: dict) -> dict:
+        # An experiment is written as one flat object: window, then counts.
+        return {**data["window"], **data["section"]}
 
 
 @dataclass
@@ -180,12 +145,6 @@ class Report:
             if item.window.name == name:
                 return item.section
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total.to_dict(),
-            "experiments": [item.to_dict() for item in self.experiments],
-        }
 
 
 def _build_section(
@@ -218,7 +177,7 @@ def _build_section(
     browsers: Counter = Counter()
     systems: Counter = Counter()
     for entry in clicks:
-        countries[geolocate(entry.ip, geo)] += 1
+        countries[geo.lookup(entry.ip)] += 1
         browser, os_name = parse_user_agent(entry.header("User-Agent") or "")
         browsers[browser] += 1
         systems[os_name] += 1
@@ -267,7 +226,7 @@ def export_report(report: Report, out_dir: str | Path) -> list[Path]:
     try:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
-        report_path.write_text(canonical_dumps(report.to_dict()), encoding="utf-8")
+        report_path.write_text(canonical_dumps(encode(report)), encoding="utf-8")
         rows = [
             (country, count)
             for country, count in report.total.country_histogram.items()

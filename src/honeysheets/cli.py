@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
 
-from ._util import canonical_dumps, parse_ts
+from ._util import canonical_dumps, decode, encode, parse_ts
 from .analytics import GeoTable, aggregate, export_report, load_windows
 from .errors import HoneySheetsError
 from .honeygen import SheetConfig, build_honey_sheet, derive_sheet_id
@@ -28,7 +28,14 @@ from .honeylink import (
 )
 from .leak import THEMES, FilePostSink, LeakPlan, schedule
 from .notify import EventTimeline, ingest_mailbox
-from .sheetstore import Snapshot, diff, sheets_from_json, sheets_to_json, take_snapshot
+from .sheetstore import (
+    HoneySheet,
+    Snapshot,
+    diff,
+    sheets_from_json,
+    sheets_to_json,
+    take_snapshot,
+)
 from .simharness import (
     ActionTrace,
     DEFAULT_START,
@@ -63,29 +70,18 @@ class Config:
     controlled_domain: str = "trap.example.net"
     redirect_target: str = "https://www.google.com"
     short_base: str = "https://snip.example.net"
-    mailbox_dir: str = "mailbox"
-    log_path: str = "access.log"
-    geo_table_path: str | None = None
-    seed: int = 42
-    snapshot_interval_hours: float = 2.0
 
     @classmethod
     def load(cls, path: str | None) -> Config:
         if path is None:
             return cls()
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        config = cls(**data)
-        for name in ("mailbox_dir", "log_path", "geo_table_path"):
-            value = getattr(config, name)
-            if value is None:
-                continue
-            resolved = Path(value).expanduser()
-            if not resolved.parent.exists():
-                raise HoneySheetsError(f"config {name}={value!r}: parent directory missing")
-            if name == "geo_table_path" and not resolved.exists():
-                raise HoneySheetsError(f"config geo_table_path={value!r}: file missing")
-            setattr(config, name, str(resolved))
-        return config
+        if not isinstance(data, dict):
+            raise HoneySheetsError(f"config {path}: expected a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise HoneySheetsError(f"config {path}: unknown key(s) {', '.join(unknown)}")
+        return cls(**data)
 
 
 def _load_registry(path: str, config: Config) -> LinkRegistry:
@@ -130,12 +126,12 @@ def _cmd_gen(args: argparse.Namespace, config: Config) -> int:
 
 def _load_snapshot(path: str) -> Snapshot:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "taken_at" in data:
-        return Snapshot.from_dict(data)
-    sheets = sheets_from_json(json.dumps(data))
+    if isinstance(data, dict) and "taken_at" in data:
+        return decode(Snapshot, data)
+    sheets = data if isinstance(data, list) else [data]
     if len(sheets) != 1:
         raise HoneySheetsError(f"{path}: expected one sheet, found {len(sheets)}")
-    return take_snapshot(sheets[0], parse_ts("1970-01-01T00:00:00Z"))
+    return take_snapshot(decode(HoneySheet, sheets[0]), parse_ts("1970-01-01T00:00:00Z"))
 
 
 def _cmd_diff(args: argparse.Namespace, config: Config) -> int:
@@ -163,8 +159,8 @@ def _cmd_serve(args: argparse.Namespace, config: Config) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        failures = server.stop()
-        sink.close()
+        server.stop()
+        failures = core.close()
         if failures:
             print(f"warning: {failures} log write(s) failed", file=sys.stderr)
     return 0
@@ -172,7 +168,8 @@ def _cmd_serve(args: argparse.Namespace, config: Config) -> int:
 
 def _cmd_ingest(args: argparse.Namespace, config: Config) -> int:
     timeline, quarantined = ingest_mailbox(args.mailbox)
-    Path(args.out).write_text(canonical_dumps(timeline.to_dict()), encoding="utf-8")
+    rows = [encode(event) for event in timeline]
+    Path(args.out).write_text(canonical_dumps(rows), encoding="utf-8")
     counts = timeline.counts()
     print(
         f"ingested {len(timeline)} events "
@@ -206,13 +203,13 @@ def _cmd_simulate(args: argparse.Namespace, config: Config) -> int:
     registry = LinkRegistry.load(args.registry)
     if args.profiles:
         data = json.loads(Path(args.profiles).read_text(encoding="utf-8"))
-        profiles = [VisitorProfile.from_dict(item) for item in data]
+        profiles = [decode(VisitorProfile, item) for item in data]
     else:
         profiles = default_profiles()
     targets = None
     if args.targets:
-        targets = TargetCounts.from_dict(
-            json.loads(Path(args.targets).read_text(encoding="utf-8"))
+        targets = decode(
+            TargetCounts, json.loads(Path(args.targets).read_text(encoding="utf-8"))
         )
     geo = GeoTable.load_csv(args.geo) if args.geo else None
     trace = simulate(

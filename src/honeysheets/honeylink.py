@@ -20,12 +20,15 @@ from pathlib import Path
 from random import Random
 from urllib.parse import urlsplit
 
-from ._util import canonical_dumps, compact_dumps, format_ts, parse_ts, utcnow
+from ._util import canonical_dumps, compact_dumps, decode, encode, utcnow
 from .errors import BadDestination, KeyspaceExhausted
 
 TOKEN_ALPHABET = string.ascii_letters + string.digits
 TOKEN_LENGTH = 6
 TARGET_CLASSES = ("controlled", "decoy_bank")
+
+# Largest request body the tracker drains; a longer declared body gets a 400.
+MAX_BODY_BYTES = 64 * 1024
 
 _TOKEN_PATH = re.compile(r"^/t/([A-Za-z0-9]+)$")
 
@@ -65,25 +68,6 @@ class HoneyLink:
         if self.target_class not in TARGET_CLASSES:
             raise ValueError(f"unknown target class {self.target_class!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "token": self.token,
-            "target_class": self.target_class,
-            "destination": self.destination,
-            "sheet_id": self.sheet_id,
-            "short_url": self.short_url,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> HoneyLink:
-        return cls(
-            token=data["token"],
-            target_class=data["target_class"],
-            destination=data["destination"],
-            sheet_id=data["sheet_id"],
-            short_url=data["short_url"],
-        )
-
 
 @dataclass
 class LinkRegistry:
@@ -108,33 +92,12 @@ class LinkRegistry:
     def for_sheet(self, sheet_id: str) -> list[HoneyLink]:
         return [link for link in self.links.values() if link.sheet_id == sheet_id]
 
-    def to_dict(self) -> dict:
-        return {
-            "redirect_target": self.redirect_target,
-            "short_base": self.short_base,
-            "controlled_domain": self.controlled_domain,
-            "token_length": self.token_length,
-            "alphabet": self.alphabet,
-            "links": {token: link.to_dict() for token, link in self.links.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> LinkRegistry:
-        return cls(
-            redirect_target=data["redirect_target"],
-            short_base=data["short_base"],
-            controlled_domain=data.get("controlled_domain"),
-            token_length=data["token_length"],
-            alphabet=data["alphabet"],
-            links={t: HoneyLink.from_dict(l) for t, l in data["links"].items()},
-        )
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_dumps(self.to_dict()), encoding="utf-8")
+        Path(path).write_text(canonical_dumps(encode(self)), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> LinkRegistry:
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return decode(cls, json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def mint_token(
@@ -185,7 +148,7 @@ class AccessLogEntry:
     method: str
     path: str
     headers: tuple[tuple[str, str], ...]
-    received_at: datetime
+    received_at: datetime = field(metadata={"key": "ts"})
     token: str | None = None
 
     def header(self, name: str) -> str | None:
@@ -195,49 +158,24 @@ class AccessLogEntry:
                 return value
         return None
 
-    def to_json_line(self) -> str:
-        return compact_dumps(
-            {
-                "ip": self.ip,
-                "port": self.port,
-                "method": self.method,
-                "path": self.path,
-                "headers": [[k, v] for k, v in self.headers],
-                "ts": format_ts(self.received_at),
-                "token": self.token,
-            }
-        )
-
-    @classmethod
-    def from_json_line(cls, line: str) -> AccessLogEntry:
-        data = json.loads(line)
-        return cls(
-            ip=data["ip"],
-            port=data["port"],
-            method=data["method"],
-            path=data["path"],
-            headers=tuple((k, v) for k, v in data["headers"]),
-            received_at=parse_ts(data["ts"]),
-            token=data["token"],
-        )
-
 
 class AccessLogWriter:
-    """Append-only JSONL sink; writes are serialized so lines stay atomic."""
+    """Append-only JSONL sink, one line per entry, flushed after each.
+
+    It takes no lock of its own: LinkServerCore serializes every append,
+    and its close, under the one lock that also orders the timestamps.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def append(self, entry: AccessLogEntry) -> None:
-        with self._lock:
-            self._handle.write(entry.to_json_line() + "\n")
-            self._handle.flush()
+        self._handle.write(compact_dumps(encode(entry)) + "\n")
+        self._handle.flush()
 
     def close(self) -> None:
-        with self._lock:
-            self._handle.close()
+        self._handle.close()
 
     def __enter__(self) -> AccessLogWriter:
         return self
@@ -248,16 +186,16 @@ class AccessLogWriter:
 
 def load_access_log(path: str | Path) -> list[AccessLogEntry]:
     text = Path(path).read_text(encoding="utf-8")
-    return [AccessLogEntry.from_json_line(line) for line in text.splitlines() if line]
+    return [decode(AccessLogEntry, json.loads(line)) for line in text.splitlines() if line]
 
 
 class LinkServerCore:
     """Request handling shared by the HTTP front end and in-process replay.
 
-    The log entry is appended before the response is computed, under one
-    lock, so timestamps are non-decreasing within the file and a crash
-    after logging never loses a hit. Sink failures are counted and
-    surfaced at shutdown instead of breaking the response.
+    The clock read, the log entry and its append all happen under one lock,
+    before the response is computed, so timestamps are non-decreasing within
+    the file and a crash after logging never loses a hit. Sink failures are
+    counted and surfaced at shutdown instead of breaking the response.
     """
 
     def __init__(self, registry: LinkRegistry, sink: AccessLogWriter, clock=utcnow):
@@ -278,16 +216,16 @@ class LinkServerCore:
     ) -> tuple[int, str | None]:
         match = _TOKEN_PATH.match(path)
         link = self.registry.resolve(match.group(1)) if match else None
-        entry = AccessLogEntry(
-            ip=ip,
-            port=port,
-            method=method,
-            path=path,
-            headers=tuple(headers),
-            received_at=at if at is not None else self.clock(),
-            token=link.token if link else None,
-        )
         with self._lock:
+            entry = AccessLogEntry(
+                ip=ip,
+                port=port,
+                method=method,
+                path=path,
+                headers=tuple(headers),
+                received_at=at if at is not None else self.clock(),
+                token=link.token if link else None,
+            )
             try:
                 self.sink.append(entry)
             except Exception:
@@ -295,6 +233,25 @@ class LinkServerCore:
         if link is not None:
             return 302, self.registry.redirect_target
         return 404, None
+
+    def close(self) -> int:
+        """Close the sink once no append is in progress; returns the failed-write count."""
+        with self._lock:
+            self.sink.close()
+            return self.sink_failures
+
+
+def _body_length(value: str | None) -> int | None:
+    """The declared body length: None when it is not a decimal count or exceeds the cap."""
+    value = (value or "").strip()
+    if not value:
+        return 0
+    # ASCII digits only (int() would take "+5" or "5_0"), and few enough that
+    # int() never sees a huge string.
+    if not (value.isascii() and value.isdigit()) or len(value) > len(str(MAX_BODY_BYTES)):
+        return None
+    length = int(value)
+    return length if length <= MAX_BODY_BYTES else None
 
 
 class _TrackerHandler(BaseHTTPRequestHandler):
@@ -305,10 +262,18 @@ class _TrackerHandler(BaseHTTPRequestHandler):
         core: LinkServerCore = self.server.core  # type: ignore[attr-defined]
         ip, port = self.client_address[0], self.client_address[1]
         headers = [(k, v) for k, v in self.headers.items()]
-        pending = int(self.headers.get("Content-Length") or 0)
+        # Log before anything else: a malformed request is a hit too.
+        status, location = core.handle(self.command, self.path, headers, ip, port)
+        pending = _body_length(self.headers.get("Content-Length"))
+        if pending is None:
+            # The body cannot be framed, so the connection cannot be reused.
+            self.send_response(400)
+            self.send_header("Content-Length", "0")
+            self.send_header("Connection", "close")
+            self.end_headers()
+            return
         if pending:  # drain the body so keep-alive framing stays intact
             self.rfile.read(pending)
-        status, location = core.handle(self.command, self.path, headers, ip, port)
         if status == 302:
             self.send_response(302)
             self.send_header("Location", location)
@@ -358,13 +323,12 @@ class HoneyLinkServer:
         if self._thread is not None:
             self._thread.join(timeout)
 
-    def stop(self) -> int:
-        """Shut the server down; returns the count of failed log writes."""
+    def stop(self) -> None:
+        """Stop accepting requests; LinkServerCore.close() then closes the log."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join()
-        return self.core.sink_failures
 
     def __enter__(self) -> HoneyLinkServer:
         self.start()

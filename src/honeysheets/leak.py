@@ -14,7 +14,6 @@ from pathlib import Path
 from random import Random
 from typing import Sequence
 
-from ._util import format_ts, parse_ts
 from .sheetstore import HoneySheet
 
 
@@ -82,23 +81,6 @@ class LeakPost:
     rendered_text: str
     sheet_id: str
     scheduled_at: datetime
-
-    def to_dict(self) -> dict:
-        return {
-            "theme": self.theme,
-            "rendered_text": self.rendered_text,
-            "sheet_id": self.sheet_id,
-            "scheduled_at": format_ts(self.scheduled_at),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> LeakPost:
-        return cls(
-            theme=data["theme"],
-            rendered_text=data["rendered_text"],
-            sheet_id=data["sheet_id"],
-            scheduled_at=parse_ts(data["scheduled_at"]),
-        )
 
 
 def render_post(theme: Theme, share_link: str, rng: Random) -> str:

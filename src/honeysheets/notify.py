@@ -9,12 +9,13 @@ email.
 
 from __future__ import annotations
 
+import json
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ._util import format_ts, parse_ts
+from ._util import decode, format_ts, parse_ts
 from .errors import MailboxError, NotificationFormatError
 from .sheetstore import ChangeSet, SheetEvent, modification_event, open_event
 
@@ -64,7 +65,7 @@ def parse_message(text: str) -> SheetEvent:
         return open_event(sheet_id, occurred_at, snapshot_at=snapshot_at)
     if kind == "modification":
         try:
-            changeset = ChangeSet.from_json(body)
+            changeset = decode(ChangeSet, json.loads(body))
         except Exception as exc:
             raise NotificationFormatError(f"unreadable changeset body: {exc}") from exc
         if changeset.is_empty():
@@ -100,24 +101,18 @@ class EventTimeline:
 
     @classmethod
     def from_events(cls, events: Iterable[SheetEvent]) -> EventTimeline:
-        def sort_key(event: SheetEvent):
-            return (
+        # One key serves as both the identity and the sort order, so each
+        # changeset is hashed once.
+        unique: dict[tuple, SheetEvent] = {}
+        for event in events:
+            key = (
                 event.occurred_at,
                 event.sheet_id,
                 _KIND_ORDER[event.kind],
                 event.changeset.body_hash() if event.changeset else "",
             )
-
-        unique: dict[tuple, SheetEvent] = {}
-        for event in events:
-            key = (
-                event.sheet_id,
-                event.occurred_at,
-                event.kind,
-                event.changeset.body_hash() if event.changeset else "",
-            )
             unique.setdefault(key, event)
-        return cls(events=tuple(sorted(unique.values(), key=sort_key)))
+        return cls(events=tuple(unique[key] for key in sorted(unique)))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -131,42 +126,9 @@ class EventTimeline:
             "modification": sum(1 for e in self.events if e.kind == "modification"),
         }
 
-    def to_dict(self) -> list[dict]:
-        rows = []
-        for event in self.events:
-            row: dict = {
-                "sheet_id": event.sheet_id,
-                "kind": event.kind,
-                "occurred_at": format_ts(event.occurred_at),
-            }
-            if event.modification_class is not None:
-                row["modification_class"] = event.modification_class
-            if event.changeset is not None:
-                row["changeset"] = event.changeset.to_dict()
-            if event.snapshot_at is not None:
-                row["snapshot_at"] = format_ts(event.snapshot_at)
-            rows.append(row)
-        return rows
-
     @classmethod
     def from_dict(cls, rows: list[dict]) -> EventTimeline:
-        events = []
-        for row in rows:
-            snapshot_at = parse_ts(row["snapshot_at"]) if "snapshot_at" in row else None
-            if row["kind"] == "open":
-                events.append(
-                    open_event(row["sheet_id"], parse_ts(row["occurred_at"]), snapshot_at)
-                )
-            else:
-                events.append(
-                    modification_event(
-                        row["sheet_id"],
-                        parse_ts(row["occurred_at"]),
-                        ChangeSet.from_dict(row["changeset"]),
-                        snapshot_at,
-                    )
-                )
-        return cls.from_events(events)
+        return cls.from_events(decode(SheetEvent, row) for row in rows)
 
 
 def ingest_mailbox(mailbox_dir: str | Path) -> tuple[EventTimeline, int]:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Iterable
 
-from ._util import canonical_dumps, format_ts, parse_ts
+from ._util import canonical_dumps, decode, encode, optional_field
 from .errors import BadIndex, EmptyChangeSet, SheetMismatch
 
 RGB = tuple[int, int, int]
@@ -30,9 +30,7 @@ DEFAULT_FONT_SIZE = 10
 BLACK: RGB = (0, 0, 0)
 WHITE: RGB = (255, 255, 255)
 DEFAULT_COLUMN_WIDTH = 100
-DEFAULT_SNAPSHOT_INTERVAL = timedelta(hours=2)
 
-MODIFICATION_CLASSES = ("content", "formatting_only", "layout_only", "structural", "mixed")
 STRUCTURAL_KINDS = ("row_inserted", "row_deleted", "col_inserted", "col_deleted")
 
 
@@ -46,21 +44,6 @@ class CellFormat:
         if self.font_size < 1:
             raise ValueError(f"font_size must be >= 1, got {self.font_size}")
 
-    def to_dict(self) -> dict:
-        return {
-            "font_size": self.font_size,
-            "text_color": list(self.text_color),
-            "background_color": list(self.background_color),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CellFormat:
-        return cls(
-            font_size=data["font_size"],
-            text_color=tuple(data["text_color"]),
-            background_color=tuple(data["background_color"]),
-        )
-
 
 DEFAULT_FORMAT = CellFormat()
 
@@ -69,13 +52,6 @@ DEFAULT_FORMAT = CellFormat()
 class Cell:
     value: str = ""
     format: CellFormat = DEFAULT_FORMAT
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "format": self.format.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Cell:
-        return cls(value=data["value"], format=CellFormat.from_dict(data["format"]))
 
 
 EMPTY_CELL = Cell()
@@ -115,33 +91,9 @@ class HoneySheet:
     def cell(self, row: int, col: int) -> Cell:
         return self.grid[row][col]
 
-    def to_dict(self) -> dict:
-        return {
-            "sheet_id": self.sheet_id,
-            "grid": [[cell.to_dict() for cell in row] for row in self.grid],
-            "column_widths": list(self.column_widths),
-            "share_link": self.share_link,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> HoneySheet:
-        return cls(
-            sheet_id=data["sheet_id"],
-            grid=[[Cell.from_dict(c) for c in row] for row in data["grid"]],
-            column_widths=list(data["column_widths"]),
-            share_link=data["share_link"],
-        )
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> HoneySheet:
-        return cls.from_dict(json.loads(text))
-
 
 def sheets_to_json(sheets: Iterable[HoneySheet]) -> str:
-    return canonical_dumps([sheet.to_dict() for sheet in sheets])
+    return canonical_dumps([encode(sheet) for sheet in sheets])
 
 
 def sheets_from_json(text: str) -> list[HoneySheet]:
@@ -149,7 +101,7 @@ def sheets_from_json(text: str) -> list[HoneySheet]:
     data = json.loads(text)
     if isinstance(data, dict):
         data = [data]
-    return [HoneySheet.from_dict(item) for item in data]
+    return [decode(HoneySheet, item) for item in data]
 
 
 @dataclass(frozen=True)
@@ -168,30 +120,6 @@ class Snapshot:
     @property
     def n_cols(self) -> int:
         return len(self.column_widths)
-
-    def to_dict(self) -> dict:
-        return {
-            "sheet_id": self.sheet_id,
-            "taken_at": format_ts(self.taken_at),
-            "grid": [[cell.to_dict() for cell in row] for row in self.grid],
-            "column_widths": list(self.column_widths),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Snapshot:
-        return cls(
-            sheet_id=data["sheet_id"],
-            taken_at=parse_ts(data["taken_at"]),
-            grid=tuple(tuple(Cell.from_dict(c) for c in row) for row in data["grid"]),
-            column_widths=tuple(data["column_widths"]),
-        )
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> Snapshot:
-        return cls.from_dict(json.loads(text))
 
 
 def take_snapshot(sheet: HoneySheet, at: datetime) -> Snapshot:
@@ -214,23 +142,6 @@ class CellChange:
     old: Cell
     new: Cell
 
-    def to_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "col": self.col,
-            "old": self.old.to_dict(),
-            "new": self.new.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CellChange:
-        return cls(
-            row=data["row"],
-            col=data["col"],
-            old=Cell.from_dict(data["old"]),
-            new=Cell.from_dict(data["new"]),
-        )
-
 
 @dataclass(frozen=True)
 class StructuralChange:
@@ -241,26 +152,12 @@ class StructuralChange:
         if self.kind not in STRUCTURAL_KINDS:
             raise ValueError(f"unknown structural change kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "index": self.index}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> StructuralChange:
-        return cls(kind=data["kind"], index=data["index"])
-
 
 @dataclass(frozen=True)
 class LayoutChange:
     col: int
     old_width: int
     new_width: int
-
-    def to_dict(self) -> dict:
-        return {"col": self.col, "old_width": self.old_width, "new_width": self.new_width}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> LayoutChange:
-        return cls(col=data["col"], old_width=data["old_width"], new_width=data["new_width"])
 
 
 @dataclass(frozen=True)
@@ -272,29 +169,8 @@ class ChangeSet:
     def is_empty(self) -> bool:
         return not (self.cell_changes or self.structural_changes or self.layout_changes)
 
-    def to_dict(self) -> dict:
-        return {
-            "cell_changes": [c.to_dict() for c in self.cell_changes],
-            "structural_changes": [c.to_dict() for c in self.structural_changes],
-            "layout_changes": [c.to_dict() for c in self.layout_changes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ChangeSet:
-        return cls(
-            cell_changes=tuple(CellChange.from_dict(c) for c in data["cell_changes"]),
-            structural_changes=tuple(
-                StructuralChange.from_dict(c) for c in data["structural_changes"]
-            ),
-            layout_changes=tuple(LayoutChange.from_dict(c) for c in data["layout_changes"]),
-        )
-
     def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> ChangeSet:
-        return cls.from_dict(json.loads(text))
+        return canonical_dumps(encode(self))
 
     def body_hash(self) -> str:
         """Stable digest of the change content, used as a deduplication key."""
@@ -434,9 +310,9 @@ class SheetEvent:
     sheet_id: str
     kind: str
     occurred_at: datetime
-    modification_class: str | None = None
-    changeset: ChangeSet | None = None
-    snapshot_at: datetime | None = None
+    modification_class: str | None = optional_field()
+    changeset: ChangeSet | None = optional_field()
+    snapshot_at: datetime | None = optional_field()
 
     def __post_init__(self) -> None:
         if self.kind not in ("open", "modification"):
@@ -444,8 +320,11 @@ class SheetEvent:
         if self.kind == "modification":
             if self.changeset is None or self.changeset.is_empty():
                 raise ValueError("modification events need a non-empty changeset")
-            if self.modification_class not in MODIFICATION_CLASSES:
-                raise ValueError(f"bad modification class {self.modification_class!r}")
+            if self.modification_class != classify(self.changeset):
+                raise ValueError(
+                    f"modification class {self.modification_class!r} does not match "
+                    f"the changeset ({classify(self.changeset)!r})"
+                )
         else:
             if self.changeset is not None or self.modification_class is not None:
                 raise ValueError("open events carry no changeset or class")
@@ -477,41 +356,12 @@ class EditCommand:
     """One grid edit; see the set_*/insert_*/delete_* constructors."""
 
     kind: str
-    row: int | None = None
-    col: int | None = None
-    value: str | None = None
-    format: CellFormat | None = None
-    width: int | None = None
-    index: int | None = None
-
-    def to_dict(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.row is not None:
-            data["row"] = self.row
-        if self.col is not None:
-            data["col"] = self.col
-        if self.value is not None:
-            data["value"] = self.value
-        if self.format is not None:
-            data["format"] = self.format.to_dict()
-        if self.width is not None:
-            data["width"] = self.width
-        if self.index is not None:
-            data["index"] = self.index
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> EditCommand:
-        fmt = data.get("format")
-        return cls(
-            kind=data["kind"],
-            row=data.get("row"),
-            col=data.get("col"),
-            value=data.get("value"),
-            format=CellFormat.from_dict(fmt) if fmt is not None else None,
-            width=data.get("width"),
-            index=data.get("index"),
-        )
+    row: int | None = optional_field()
+    col: int | None = optional_field()
+    value: str | None = optional_field()
+    format: CellFormat | None = optional_field()
+    width: int | None = optional_field()
+    index: int | None = optional_field()
 
 
 def set_value(row: int, col: int, value: str) -> EditCommand:
@@ -598,28 +448,3 @@ def apply_edit(sheet: HoneySheet, command: EditCommand) -> HoneySheet:
         raise ValueError(f"unknown edit command {kind!r}")
     return sheet
 
-
-class SnapshotMonitor:
-    """Periodic snapshot comparison for one sheet.
-
-    observe() is called with the current virtual time; once per interval it
-    captures a snapshot, diffs it against the previous capture, and returns
-    a modification event when anything changed.
-    """
-
-    def __init__(self, sheet: HoneySheet, interval: timedelta = DEFAULT_SNAPSHOT_INTERVAL):
-        self.sheet = sheet
-        self.interval = interval
-        self.last: Snapshot | None = None
-
-    def observe(self, at: datetime) -> SheetEvent | None:
-        if self.last is not None and at - self.last.taken_at < self.interval:
-            return None
-        current = take_snapshot(self.sheet, at)
-        previous, self.last = self.last, current
-        if previous is None:
-            return None
-        changes = diff(previous, current)
-        if changes.is_empty():
-            return None
-        return modification_event(self.sheet.sheet_id, at, changes, snapshot_at=at)

@@ -22,8 +22,8 @@ from random import Random
 from typing import Any, Iterator, Sequence
 import json
 
-from ._util import canonical_dumps, format_ts, parse_ts
-from .analytics import ExperimentWindow, GeoTable, geolocate
+from ._util import canonical_dumps, decode, encode
+from .analytics import ExperimentWindow, GeoTable
 from .errors import HoneySheetsError, InfeasibleTargets, ReplayError
 from .honeylink import HoneyLink, LinkRegistry, LinkServerCore
 from .notify import emit_notification
@@ -88,26 +88,10 @@ class VisitorProfile:
             if not self.source_ip_pool:
                 raise ValueError(f"{self.name}: clicking profiles need a source IP pool")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "action_mix": dict(self.action_mix),
-            "clicks_per_visit": [[c, p] for c, p in self.clicks_per_visit],
-            "source_ip_pool": list(self.source_ip_pool),
-            "user_agent_pool": list(self.user_agent_pool),
-            "visits_per_day": self.visits_per_day,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> VisitorProfile:
-        return cls(
-            name=data["name"],
-            action_mix=dict(data["action_mix"]),
-            clicks_per_visit=tuple((c, p) for c, p in data["clicks_per_visit"]),
-            source_ip_pool=tuple(data["source_ip_pool"]),
-            user_agent_pool=tuple(data.get("user_agent_pool") or DEFAULT_USER_AGENTS),
-            visits_per_day=data.get("visits_per_day", 1.0),
-        )
+    @staticmethod
+    def _wire_in(data: dict) -> dict:
+        # A missing or empty user_agent_pool in a profiles file means the bundled agents.
+        return {k: v for k, v in data.items() if k != "user_agent_pool" or v}
 
 
 def default_profiles(source_ips: Sequence[str] = ()) -> list[VisitorProfile]:
@@ -136,25 +120,6 @@ class Action:
     kind: str  # open | edit | click
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "at": format_ts(self.at),
-            "visitor": self.visitor,
-            "sheet_id": self.sheet_id,
-            "kind": self.kind,
-            "params": self.params,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Action:
-        return cls(
-            at=parse_ts(data["at"]),
-            visitor=data["visitor"],
-            sheet_id=data["sheet_id"],
-            kind=data["kind"],
-            params=data.get("params", {}),
-        )
-
 
 @dataclass(frozen=True)
 class ActionTrace:
@@ -173,17 +138,11 @@ class ActionTrace:
         return iter(self.actions)
 
     def to_json(self) -> str:
-        return canonical_dumps(
-            {"actions": [a.to_dict() for a in self.actions], "meta": self.meta}
-        )
+        return canonical_dumps(encode(self))
 
     @classmethod
     def from_json(cls, text: str) -> ActionTrace:
-        data = json.loads(text)
-        return cls(
-            actions=tuple(Action.from_dict(a) for a in data["actions"]),
-            meta=data.get("meta", {}),
-        )
+        return decode(cls, json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -210,43 +169,6 @@ class TargetCounts:
 
     def windows(self) -> list[ExperimentWindow]:
         return [t.window() for t in self.experiments]
-
-    def to_dict(self) -> dict:
-        return {
-            "experiments": [
-                {
-                    "name": t.name,
-                    "start": format_ts(t.start),
-                    "days": t.days,
-                    "opens": t.opens,
-                    "modifications": t.modifications,
-                }
-                for t in self.experiments
-            ],
-            "clicks_total": self.clicks_total,
-            "controlled_visits": self.controlled_visits,
-            "unique_controlled_ips": self.unique_controlled_ips,
-            "countries": self.countries,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> TargetCounts:
-        return cls(
-            experiments=tuple(
-                ExperimentTarget(
-                    name=t["name"],
-                    start=parse_ts(t["start"]),
-                    days=t["days"],
-                    opens=t["opens"],
-                    modifications=t["modifications"],
-                )
-                for t in data["experiments"]
-            ),
-            clicks_total=data.get("clicks_total", 0),
-            controlled_visits=data.get("controlled_visits", 0),
-            unique_controlled_ips=data.get("unique_controlled_ips", 0),
-            countries=data.get("countries", 0),
-        )
 
 
 class _EditPlanner:
@@ -283,7 +205,7 @@ class _EditPlanner:
                     out.append((r, c))
         return out
 
-    def expand(self, sheet: HoneySheet, rng: Random) -> list[dict]:
+    def expand(self, sheet: HoneySheet, rng: Random) -> list[EditCommand]:
         if sheet.n_cols == 0:
             raise InfeasibleTargets(f"sheet {sheet.sheet_id} has no columns to edit")
         preferred = self._column_by_header(sheet, "Transfer")
@@ -292,9 +214,9 @@ class _EditPlanner:
         current = self._widths.get(key, sheet.column_widths[col])
         new_width = current + rng.randrange(40, 160, 20)
         self._widths[key] = new_width
-        return [EditCommand(kind="set_column_width", col=col, width=new_width).to_dict()]
+        return [EditCommand(kind="set_column_width", col=col, width=new_width)]
 
-    def delete(self, sheet: HoneySheet, rng: Random) -> list[dict] | None:
+    def delete(self, sheet: HoneySheet, rng: Random) -> list[EditCommand] | None:
         iban_cols = set(self._column_by_header(sheet, "IBAN"))
         candidates = self._free_cells(sheet, want_value=True)
         preferred = [rc for rc in candidates if rc[1] in iban_cols]
@@ -303,9 +225,9 @@ class _EditPlanner:
             return None
         row, col = rng.choice(pool)
         self._used[sheet.sheet_id].add((row, col))
-        return [EditCommand(kind="set_value", row=row, col=col, value="").to_dict()]
+        return [EditCommand(kind="set_value", row=row, col=col, value="")]
 
-    def deface(self, sheet: HoneySheet, rng: Random) -> list[dict] | None:
+    def deface(self, sheet: HoneySheet, rng: Random) -> list[EditCommand] | None:
         target = self._free_cells(sheet, want_value=None)
         if not target or sheet.n_rows < 1:
             return None
@@ -319,7 +241,7 @@ class _EditPlanner:
                 row=insult_row,
                 col=insult_col,
                 value=f"\\MINIONSXDDDD #{seq}",
-            ).to_dict(),
+            ),
             EditCommand(
                 kind="set_format",
                 row=0,
@@ -329,7 +251,7 @@ class _EditPlanner:
                     text_color=(255, 255, 0),
                     background_color=(seq % 256, (seq // 256) % 256, 32),
                 ),
-            ).to_dict(),
+            ),
         ]
         link_cells = [
             rc
@@ -345,21 +267,21 @@ class _EditPlanner:
                     row=link_row,
                     col=link_col,
                     value=f"https://snip.example.net/t/minion{seq}",
-                ).to_dict()
+                )
             )
         return commands
 
     def plan(self, kind: str, sheet: HoneySheet, rng: Random) -> list[dict]:
+        """The encoded commands of one edit action of the given kind."""
+        commands = None
         if kind == "delete_content":
             commands = self.delete(sheet, rng)
-            if commands is not None:
-                return commands
         elif kind == "deface":
             commands = self.deface(sheet, rng)
-            if commands is not None:
-                return commands
-        # Column expansion can always produce a fresh change.
-        return self.expand(sheet, rng)
+        if commands is None:
+            # Column expansion can always produce a fresh change.
+            commands = self.expand(sheet, rng)
+        return [encode(command) for command in commands]
 
 
 def _weighted_choice(rng: Random, items: Sequence[tuple[Any, float]]) -> Any:
@@ -556,7 +478,7 @@ def _simulate_constrained(
                 raise InfeasibleTargets("country target set but no geo table supplied")
             by_country: dict[str, list[str]] = defaultdict(list)
             for ip in all_ips:
-                country = geolocate(ip, geo)
+                country = geo.lookup(ip)
                 if country != "unknown":
                     by_country[country].append(ip)
             if len(by_country) < targets.countries:
@@ -693,7 +615,7 @@ def replay(trace: ActionTrace, handles: ReplayHandles) -> None:
                     raise ReplayError(index, f"unknown sheet {action.sheet_id!r}")
                 before = take_snapshot(sheet, action.at)
                 for data in action.params["commands"]:
-                    apply_edit(sheet, EditCommand.from_dict(data))
+                    apply_edit(sheet, decode(EditCommand, data))
                 changes = diff(before, take_snapshot(sheet, action.at))
                 if changes.is_empty():
                     raise ReplayError(index, "edit action produced no change")

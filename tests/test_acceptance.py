@@ -7,11 +7,13 @@ lines alongside the pytest verdicts.
 from __future__ import annotations
 
 import http.client
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from random import Random
 
+from honeysheets._util import compact_dumps, decode, encode
 from honeysheets.analytics import aggregate
 from honeysheets.honeygen import generate_iban, validate_iban
 from honeysheets.honeylink import (
@@ -182,8 +184,8 @@ def test_criterion_4_server_logging_completeness(tmp_path) -> None:
     corrupt = 0
     for line in lines:
         try:
-            entry = AccessLogEntry.from_json_line(line)
-            if entry.to_json_line() != line:
+            entry = decode(AccessLogEntry, json.loads(line))
+            if compact_dumps(encode(entry)) != line:
                 corrupt += 1
             parsed.append(entry)
         except Exception:

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from honeysheets._util import encode
 from honeysheets.analytics import (
     ExperimentWindow,
     GeoTable,
@@ -14,7 +15,6 @@ from honeysheets.analytics import (
     UNKNOWN_COUNTRY,
     aggregate,
     export_report,
-    geolocate,
 )
 from honeysheets.errors import BadBoundaries, ExportError
 from honeysheets.honeylink import AccessLogEntry
@@ -61,26 +61,26 @@ def click(ip: str, token: str | None, at=None, ua: str = UA_CHROME_WIN) -> Acces
 
 def test_empty_table_is_unknown() -> None:
     table = GeoTable([])
-    assert geolocate("203.0.113.9", table) == UNKNOWN_COUNTRY
+    assert table.lookup("203.0.113.9") == UNKNOWN_COUNTRY
 
 
 def test_longest_prefix_wins() -> None:
     table = GeoTable([("203.0.113.0/24", "XA"), ("203.0.0.0/16", "XB")])
-    assert geolocate("203.0.113.9", table) == "XA"
-    assert geolocate("203.0.42.9", table) == "XB"
-    assert geolocate("198.51.100.1", table) == UNKNOWN_COUNTRY
+    assert table.lookup("203.0.113.9") == "XA"
+    assert table.lookup("203.0.42.9") == "XB"
+    assert table.lookup("198.51.100.1") == UNKNOWN_COUNTRY
 
 
 def test_invalid_ip_is_unknown() -> None:
     table = GeoTable([("0.0.0.0/0", "XX")])
-    assert geolocate("not-an-ip", table) == UNKNOWN_COUNTRY
-    assert geolocate("999.1.1.1", table) == UNKNOWN_COUNTRY
+    assert table.lookup("not-an-ip") == UNKNOWN_COUNTRY
+    assert table.lookup("999.1.1.1") == UNKNOWN_COUNTRY
 
 
 def test_ipv6_lookup() -> None:
     table = GeoTable([("2001:db8::/32", "XC"), ("::/0", "XD")])
-    assert geolocate("2001:db8::5", table) == "XC"
-    assert geolocate("2001:db9::5", table) == "XD"
+    assert table.lookup("2001:db8::5") == "XC"
+    assert table.lookup("2001:db9::5") == "XD"
 
 
 def test_geolocate_matches_linear_scan_oracle() -> None:
@@ -94,7 +94,7 @@ def test_geolocate_matches_linear_scan_oracle() -> None:
     table = GeoTable(entries)
     for _ in range(1000):
         ip = str(ipaddress.ip_address(rng.getrandbits(32)))
-        assert geolocate(ip, table) == lpm_oracle(ip, entries)
+        assert table.lookup(ip) == lpm_oracle(ip, entries)
 
 
 def test_geo_csv_roundtrip(tmp_path) -> None:
@@ -177,7 +177,7 @@ def test_aggregate_is_permutation_invariant(geo_table) -> None:
     rng.shuffle(shuffled)
     a = aggregate(EventTimeline(events=()), entries, geo_table, WINDOWS, controlled_tokens={"t1"})
     b = aggregate(EventTimeline(events=()), shuffled, geo_table, WINDOWS, controlled_tokens={"t1"})
-    assert a.to_dict() == b.to_dict()
+    assert encode(a) == encode(b)
 
 
 def test_histograms_sum_to_totals(geo_table) -> None:

@@ -7,6 +7,7 @@ import sys
 import urllib.error
 import urllib.request
 
+from honeysheets._util import decode, encode
 from honeysheets.cli import run
 from honeysheets.honeylink import LinkRegistry, load_access_log
 from honeysheets.sheetstore import Cell, ChangeSet, sheets_from_json, sheets_to_json
@@ -56,6 +57,20 @@ def test_bad_config_aborts(tmp_path) -> None:
     assert code == 2
 
 
+def test_config_rejects_unknown_keys_and_non_objects(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    ingest = ["ingest", "--mailbox", str(tmp_path), "--out", str(tmp_path / "t.json")]
+    for payload, message in (({"bogus": 1}, "unknown key(s) bogus"), ([1, 2], "JSON object")):
+        config.write_text(json.dumps(payload))
+        assert run(["--config", str(config), *ingest]) == 2
+        assert message in capsys.readouterr().err
+    config.write_text(json.dumps({"short_base": "https://s.example.org"}))
+    registry_path = tmp_path / "registry.json"
+    assert run(["--config", str(config), "gen", "--rows", "2", "--links", "1", "--controlled", "1",
+                "--out", str(tmp_path / "s.json"), "--registry", str(registry_path)]) == 0
+    assert LinkRegistry.load(registry_path).short_base == "https://s.example.org"
+
+
 def test_gen_writes_sheets_and_registry(tmp_path) -> None:
     sheets_path = tmp_path / "sheets.json"
     registry_path = tmp_path / "registry.json"
@@ -81,7 +96,7 @@ def test_diff_command(tmp_path) -> None:
     sheets[0].grid[1][0] = Cell(value="renamed")
     after.write_text(sheets_to_json(sheets))
     assert run(["diff", "--before", str(before), "--after", str(after), "--out", str(out)]) == 0
-    changes = ChangeSet.from_json(out.read_text())
+    changes = decode(ChangeSet, json.loads(out.read_text()))
     assert len(changes.cell_changes) == 1
     assert changes.cell_changes[0].new.value == "renamed"
 
@@ -107,7 +122,7 @@ def test_full_pipeline_through_cli(tmp_path) -> None:
     make_geo_table().save_csv(geo_path)
     from honeysheets.simharness import default_profiles
 
-    profiles_path.write_text(json.dumps([p.to_dict() for p in default_profiles(geo_ip_pool())]))
+    profiles_path.write_text(json.dumps([encode(p) for p in default_profiles(geo_ip_pool())]))
     targets_path.write_text(json.dumps({
         "experiments": [
             {"name": "hacker", "start": "2016-01-23T00:00:00Z", "days": 46,

@@ -20,6 +20,7 @@ from honeysheets.honeygen import (
     generate_sort_code,
     validate_iban,
 )
+from honeysheets.sheetstore import sheets_to_json
 
 from conftest import make_fleet
 
@@ -147,7 +148,9 @@ def test_build_is_pure_function_of_config_and_links(fleet) -> None:
     sheet_id = derive_sheet_id(100)
     links = sorted(registry.for_sheet(sheet_id), key=lambda l: l.token)
     config = SheetConfig(rows=20, rng_seed=100)
-    assert build_honey_sheet(config, links).to_json() == build_honey_sheet(config, links).to_json()
+    assert sheets_to_json([build_honey_sheet(config, links)]) == sheets_to_json(
+        [build_honey_sheet(config, links)]
+    )
 
 
 def test_derive_sheet_id_matches_built_sheet() -> None:

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
 import http.client
+import itertools
+import json
+import socket
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from datetime import timedelta
 from random import Random
 
 import pytest
 
+from honeysheets._util import compact_dumps, decode, encode
 from honeysheets.errors import BadDestination, KeyspaceExhausted
 from honeysheets.honeylink import (
+    MAX_BODY_BYTES,
     AccessLogEntry,
     AccessLogWriter,
     HoneyLinkServer,
@@ -153,7 +162,7 @@ def test_registry_save_load_roundtrip(tmp_path) -> None:
     mint_token(registry, "controlled", "https://trap.example.net/x", "s", Random(5))
     registry.save(tmp_path / "reg.json")
     loaded = LinkRegistry.load(tmp_path / "reg.json")
-    assert loaded.to_dict() == registry.to_dict()
+    assert encode(loaded) == encode(registry)
 
 
 def test_log_entry_line_roundtrip_is_byte_identical() -> None:
@@ -166,8 +175,8 @@ def test_log_entry_line_roundtrip_is_byte_identical() -> None:
         received_at=utc(2016, 2, 1, 12, 30, 15, 123456),
         token="abc123",
     )
-    line = entry.to_json_line()
-    assert AccessLogEntry.from_json_line(line).to_json_line() == line
+    line = compact_dumps(encode(entry))
+    assert compact_dumps(encode(decode(AccessLogEntry, json.loads(line)))) == line
 
 
 def _make_core(tmp_path):
@@ -251,6 +260,57 @@ def test_http_server_serves_and_logs_concurrently(tmp_path) -> None:
     entries = load_access_log(tmp_path / "access.log")
     assert len(entries) == 200
     assert all(a.received_at <= b.received_at for a, b in zip(entries, entries[1:]))
+
+
+def test_concurrent_requests_log_in_clock_order(tmp_path) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    ticks = itertools.count()
+
+    def clock():
+        tick = next(ticks)
+        time.sleep(0)  # invite a thread switch between the clock read and the append
+        return utc(2016, 2, 1) + timedelta(microseconds=tick)
+
+    def hammer() -> None:
+        for _ in range(100):
+            core.handle("GET", f"/t/{link.token}", [], "203.0.113.5", 51000)
+
+    core.clock = clock
+    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    sink.close()
+    assert not any(thread.is_alive() for thread in threads)
+    stamps = [entry.received_at for entry in load_access_log(tmp_path / "access.log")]
+    assert len(stamps) == 800
+    assert stamps == sorted(stamps)
+
+
+@pytest.mark.parametrize("length", ["zz", "-1", str(MAX_BODY_BYTES + 1)])
+def test_malformed_content_length_is_logged_then_refused(tmp_path, length) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    request = f"POST /t/{link.token} HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+    with HoneyLinkServer(core) as server:
+        # The read ends only when the server closes the connection; a handler
+        # that waits for a body instead trips the 2 s timeout.
+        with socket.create_connection(server.address, timeout=2) as sock:
+            sock.sendall(request.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+    sink.close()
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    entries = load_access_log(tmp_path / "access.log")
+    assert [(e.method, e.token, e.header("Content-Length")) for e in entries] == [
+        ("POST", link.token, length)
+    ]
 
 
 def test_every_minted_link_resolves_back() -> None:

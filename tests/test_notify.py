@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from honeysheets._util import encode
 from honeysheets.notify import (
     EventTimeline,
     emit_message,
@@ -191,7 +192,7 @@ def test_timeline_sorted_with_open_before_modification() -> None:
 def test_timeline_json_roundtrip() -> None:
     rng = Random(60)
     timeline = EventTimeline.from_events(random_event(rng) for _ in range(30))
-    assert EventTimeline.from_dict(timeline.to_dict()) == timeline
+    assert EventTimeline.from_dict([encode(event) for event in timeline]) == timeline
 
 
 def test_unknown_event_type_rejected() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import timedelta
 from random import Random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from honeysheets._util import decode
 from honeysheets.errors import BadIndex, EmptyChangeSet, SheetMismatch
 from honeysheets.sheetstore import (
     Cell,
@@ -14,7 +16,6 @@ from honeysheets.sheetstore import (
     ChangeSet,
     HoneySheet,
     Snapshot,
-    SnapshotMonitor,
     apply_changeset,
     apply_edit,
     classify,
@@ -28,6 +29,8 @@ from honeysheets.sheetstore import (
     set_column_width,
     set_format,
     set_value,
+    sheets_from_json,
+    sheets_to_json,
     take_snapshot,
 )
 
@@ -285,13 +288,13 @@ def test_changeset_json_roundtrip() -> None:
     apply_edit(sheet, insert_row(3))
     apply_edit(sheet, set_column_width(0, 222))
     changes = diff(before, take_snapshot(sheet, T1))
-    assert ChangeSet.from_json(changes.to_json()) == changes
+    assert decode(ChangeSet, json.loads(changes.to_json())) == changes
 
 
 def test_sheet_json_roundtrip_and_canonical_bytes() -> None:
     sheet = make_sheet()
-    again = HoneySheet.from_json(sheet.to_json())
-    assert again.to_json() == sheet.to_json()
+    (again,) = sheets_from_json(sheets_to_json([sheet]))
+    assert sheets_to_json([again]) == sheets_to_json([sheet])
     assert again.grid == sheet.grid
 
 
@@ -301,13 +304,3 @@ def test_event_invariants() -> None:
     event = open_event("s", T0)
     assert event.kind == "open" and event.changeset is None
 
-
-def test_snapshot_monitor_reports_on_cadence() -> None:
-    sheet = make_sheet()
-    monitor = SnapshotMonitor(sheet)
-    assert monitor.observe(T0) is None  # first capture, nothing to compare
-    apply_edit(sheet, set_value(0, 0, "edited"))
-    assert monitor.observe(T0 + timedelta(minutes=30)) is None  # not due yet
-    event = monitor.observe(T0 + timedelta(hours=2))
-    assert event is not None and event.modification_class == "content"
-    assert monitor.observe(T0 + timedelta(hours=4)) is None  # no further change

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from honeysheets._util import decode, encode
 from honeysheets.analytics import aggregate
 from honeysheets.errors import InfeasibleTargets, ReplayError
 from honeysheets.honeylink import AccessLogWriter, LinkServerCore, load_access_log
@@ -234,4 +235,4 @@ def test_profile_validation() -> None:
 
 def test_profile_dict_roundtrip() -> None:
     profile = default_profiles(source_ips=("10.0.0.1",))[4]
-    assert VisitorProfile.from_dict(profile.to_dict()) == profile
+    assert decode(VisitorProfile, encode(profile)) == profile
