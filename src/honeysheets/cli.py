@@ -39,7 +39,6 @@ from .sheetstore import (
 from .simharness import (
     ActionTrace,
     DEFAULT_START,
-    ReplayHandles,
     TargetCounts,
     VisitorProfile,
     default_profiles,
@@ -233,12 +232,7 @@ def _cmd_replay(args: argparse.Namespace, config: Config) -> int:
     registry = LinkRegistry.load(args.registry)
     with AccessLogWriter(args.log) as sink:
         core = LinkServerCore(registry, sink)
-        handles = ReplayHandles(
-            sheets={s.sheet_id: s for s in sheets},
-            core=core,
-            mailbox_dir=Path(args.mailbox),
-        )
-        replay(trace, handles)
+        replay(trace, {s.sheet_id: s for s in sheets}, core, Path(args.mailbox))
         failures = core.sink_failures
     if failures:
         print(f"warning: {failures} log write(s) failed", file=sys.stderr)
@@ -250,7 +244,10 @@ def _cmd_report(args: argparse.Namespace, config: Config) -> int:
     timeline = EventTimeline.from_dict(
         json.loads(Path(args.timeline).read_text(encoding="utf-8"))
     )
-    logs = load_access_log(args.log)
+    torn: list[int] = []
+    logs = load_access_log(args.log, torn)
+    for line in torn:
+        print(f"warning: {args.log} line {line} is torn; left it out", file=sys.stderr)
     geo = GeoTable.load_csv(args.geo)
     windows = load_windows(args.bounds)
     controlled_tokens = None

@@ -184,9 +184,25 @@ class AccessLogWriter:
         self.close()
 
 
-def load_access_log(path: str | Path) -> list[AccessLogEntry]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [decode(AccessLogEntry, json.loads(line)) for line in text.splitlines() if line]
+def load_access_log(path: str | Path, torn: list[int] | None = None) -> list[AccessLogEntry]:
+    """The log's distinct entries in file order; a repeated entry counts once.
+
+    A last line without its newline is a torn write: it is left out, and its
+    line number is added to `torn` when a list is given. Any other line that
+    does not parse raises ValueError naming its line number.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines.pop() and torn is not None:  # "" when the file ends with a newline
+        torn.append(len(lines) + 1)
+    entries = []
+    for number, line in enumerate(lines, 1):
+        if not line:
+            continue
+        try:
+            entries.append(decode(AccessLogEntry, json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from exc
+    return list(dict.fromkeys(entries))
 
 
 class LinkServerCore:

@@ -29,8 +29,6 @@ def emit_message(event: SheetEvent) -> str:
         f"Event-Type: {event.kind}",
         f"Occurred-At: {format_ts(event.occurred_at)}",
     ]
-    if event.snapshot_at is not None:
-        lines.append(f"Snapshot-At: {format_ts(event.snapshot_at)}")
     body = event.changeset.to_json() if event.changeset is not None else ""
     return "\n".join(lines) + "\n\n" + body
 
@@ -52,17 +50,11 @@ def parse_message(text: str) -> SheetEvent:
         raise NotificationFormatError(f"missing header {exc}") from exc
     except ValueError as exc:
         raise NotificationFormatError(f"bad timestamp: {exc}") from exc
-    snapshot_at = None
-    if "Snapshot-At" in headers:
-        try:
-            snapshot_at = parse_ts(headers["Snapshot-At"])
-        except ValueError as exc:
-            raise NotificationFormatError(f"bad snapshot timestamp: {exc}") from exc
 
     if kind == "open":
         if body.strip():
             raise NotificationFormatError("open notification with a non-empty body")
-        return open_event(sheet_id, occurred_at, snapshot_at=snapshot_at)
+        return open_event(sheet_id, occurred_at)
     if kind == "modification":
         try:
             changeset = decode(ChangeSet, json.loads(body))
@@ -70,7 +62,7 @@ def parse_message(text: str) -> SheetEvent:
             raise NotificationFormatError(f"unreadable changeset body: {exc}") from exc
         if changeset.is_empty():
             raise NotificationFormatError("modification notification with no changes")
-        return modification_event(sheet_id, occurred_at, changeset, snapshot_at=snapshot_at)
+        return modification_event(sheet_id, occurred_at, changeset)
     raise NotificationFormatError(f"unknown event type {kind!r}")
 
 

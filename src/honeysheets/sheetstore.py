@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._util import canonical_dumps, decode, encode, optional_field
 from .errors import BadIndex, EmptyChangeSet, SheetMismatch
@@ -57,7 +57,7 @@ class Cell:
 EMPTY_CELL = Cell()
 
 
-def _check_rectangular(grid: list[list[Cell]], column_widths: list[int]) -> None:
+def _check_rectangular(grid: Sequence[Sequence[Cell]], column_widths: Sequence[int]) -> None:
     for width in column_widths:
         if width < 1:
             raise ValueError(f"column width must be positive, got {width}")
@@ -88,9 +88,6 @@ class HoneySheet:
     def n_cols(self) -> int:
         return len(self.column_widths)
 
-    def cell(self, row: int, col: int) -> Cell:
-        return self.grid[row][col]
-
 
 def sheets_to_json(sheets: Iterable[HoneySheet]) -> str:
     return canonical_dumps([encode(sheet) for sheet in sheets])
@@ -112,6 +109,9 @@ class Snapshot:
     taken_at: datetime
     grid: tuple[tuple[Cell, ...], ...]
     column_widths: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_rectangular(self.grid, self.column_widths)
 
     @property
     def n_rows(self) -> int:
@@ -206,16 +206,17 @@ def diff(before: Snapshot, after: Snapshot) -> ChangeSet:
             StructuralChange("col_inserted", i) for i in range(before.n_cols, after.n_cols)
         )
 
+    # Each old row is cut or padded to the new width, so a row that did not
+    # change compares equal as a whole and its cells are never visited.
+    n_cols = after.n_cols
+    padding = (EMPTY_CELL,) * max(0, n_cols - before.n_cols)
     cells: list[CellChange] = []
-    for r in range(after.n_rows):
-        for c in range(after.n_cols):
-            if r < before.n_rows and c < before.n_cols:
-                old = before.grid[r][c]
-            else:
-                old = EMPTY_CELL
-            new = after.grid[r][c]
-            if old != new:
-                cells.append(CellChange(r, c, old, new))
+    for r, new_row in enumerate(after.grid):
+        old_row = before.grid[r][:n_cols] + padding if r < before.n_rows else (EMPTY_CELL,) * n_cols
+        if old_row != new_row:
+            for c, (old, new) in enumerate(zip(old_row, new_row)):
+                if old != new:
+                    cells.append(CellChange(r, c, old, new))
 
     layout: list[LayoutChange] = []
     for c in range(after.n_cols):
@@ -228,43 +229,6 @@ def diff(before: Snapshot, after: Snapshot) -> ChangeSet:
         cell_changes=tuple(cells),
         structural_changes=tuple(structural),
         layout_changes=tuple(layout),
-    )
-
-
-def apply_changeset(before: Snapshot, changes: ChangeSet, at: datetime | None = None) -> Snapshot:
-    """Replay a change set on top of a snapshot, yielding the newer state."""
-    grid = [list(row) for row in before.grid]
-    widths = list(before.column_widths)
-
-    deletions = [s for s in changes.structural_changes if s.kind.endswith("_deleted")]
-    insertions = [s for s in changes.structural_changes if s.kind.endswith("_inserted")]
-    # Deletions first (highest index first), then insertions, so the
-    # tail-aligned indices reported by diff stay valid throughout.
-    for s in sorted(deletions, key=lambda s: -s.index):
-        if s.kind == "row_deleted":
-            del grid[s.index]
-        else:
-            del widths[s.index]
-            for row in grid:
-                del row[s.index]
-    for s in sorted(insertions, key=lambda s: s.index):
-        if s.kind == "row_inserted":
-            grid.insert(s.index, [EMPTY_CELL] * len(widths))
-        else:
-            widths.insert(s.index, DEFAULT_COLUMN_WIDTH)
-            for row in grid:
-                row.insert(s.index, EMPTY_CELL)
-
-    for change in changes.cell_changes:
-        grid[change.row][change.col] = change.new
-    for change in changes.layout_changes:
-        widths[change.col] = change.new_width
-
-    return Snapshot(
-        sheet_id=before.sheet_id,
-        taken_at=at if at is not None else before.taken_at,
-        grid=tuple(tuple(row) for row in grid),
-        column_widths=tuple(widths),
     )
 
 
@@ -312,7 +276,6 @@ class SheetEvent:
     occurred_at: datetime
     modification_class: str | None = optional_field()
     changeset: ChangeSet | None = optional_field()
-    snapshot_at: datetime | None = optional_field()
 
     def __post_init__(self) -> None:
         if self.kind not in ("open", "modification"):
@@ -330,16 +293,11 @@ class SheetEvent:
                 raise ValueError("open events carry no changeset or class")
 
 
-def open_event(sheet_id: str, at: datetime, snapshot_at: datetime | None = None) -> SheetEvent:
-    return SheetEvent(sheet_id=sheet_id, kind="open", occurred_at=at, snapshot_at=snapshot_at)
+def open_event(sheet_id: str, at: datetime) -> SheetEvent:
+    return SheetEvent(sheet_id=sheet_id, kind="open", occurred_at=at)
 
 
-def modification_event(
-    sheet_id: str,
-    at: datetime,
-    changeset: ChangeSet,
-    snapshot_at: datetime | None = None,
-) -> SheetEvent:
+def modification_event(sheet_id: str, at: datetime, changeset: ChangeSet) -> SheetEvent:
     """Build a modification event; the class is always derived from the changes."""
     return SheetEvent(
         sheet_id=sheet_id,
@@ -347,7 +305,6 @@ def modification_event(
         occurred_at=at,
         modification_class=classify(changeset),
         changeset=changeset,
-        snapshot_at=snapshot_at,
     )
 
 
@@ -448,3 +405,27 @@ def apply_edit(sheet: HoneySheet, command: EditCommand) -> HoneySheet:
         raise ValueError(f"unknown edit command {kind!r}")
     return sheet
 
+
+def apply_changeset(before: Snapshot, changes: ChangeSet, at: datetime | None = None) -> Snapshot:
+    """Replay a change set on top of a snapshot through apply_edit, yielding the newer state."""
+    sheet = HoneySheet(
+        before.sheet_id, [list(row) for row in before.grid], list(before.column_widths), ""
+    )
+    edit_for = {
+        "row_deleted": delete_row,
+        "col_deleted": delete_col,
+        "row_inserted": insert_row,
+        "col_inserted": insert_col,
+    }
+    deletions = [s for s in changes.structural_changes if s.kind.endswith("_deleted")]
+    insertions = [s for s in changes.structural_changes if s.kind.endswith("_inserted")]
+    # Deletions first (highest index first), then insertions, so the
+    # tail-aligned indices reported by diff stay valid throughout.
+    for s in sorted(deletions, key=lambda s: -s.index) + sorted(insertions, key=lambda s: s.index):
+        apply_edit(sheet, edit_for[s.kind](s.index))
+    for change in changes.cell_changes:
+        apply_edit(sheet, set_value(change.row, change.col, change.new.value))
+        apply_edit(sheet, set_format(change.row, change.col, change.new.format))
+    for change in changes.layout_changes:
+        apply_edit(sheet, set_column_width(change.col, change.new_width))
+    return take_snapshot(sheet, at or before.taken_at)

@@ -35,6 +35,9 @@ from .sheetstore import (
     diff,
     modification_event,
     open_event,
+    set_column_width,
+    set_format,
+    set_value,
     take_snapshot,
 )
 from urllib.parse import urlsplit
@@ -214,7 +217,7 @@ class _EditPlanner:
         current = self._widths.get(key, sheet.column_widths[col])
         new_width = current + rng.randrange(40, 160, 20)
         self._widths[key] = new_width
-        return [EditCommand(kind="set_column_width", col=col, width=new_width)]
+        return [set_column_width(col, new_width)]
 
     def delete(self, sheet: HoneySheet, rng: Random) -> list[EditCommand] | None:
         iban_cols = set(self._column_by_header(sheet, "IBAN"))
@@ -225,7 +228,7 @@ class _EditPlanner:
             return None
         row, col = rng.choice(pool)
         self._used[sheet.sheet_id].add((row, col))
-        return [EditCommand(kind="set_value", row=row, col=col, value="")]
+        return [set_value(row, col, "")]
 
     def deface(self, sheet: HoneySheet, rng: Random) -> list[EditCommand] | None:
         target = self._free_cells(sheet, want_value=None)
@@ -236,17 +239,11 @@ class _EditPlanner:
         insult_row, insult_col = rng.choice(target)
         self._used[sheet.sheet_id].add((insult_row, insult_col))
         commands = [
-            EditCommand(
-                kind="set_value",
-                row=insult_row,
-                col=insult_col,
-                value=f"\\MINIONSXDDDD #{seq}",
-            ),
-            EditCommand(
-                kind="set_format",
-                row=0,
-                col=0,
-                format=CellFormat(
+            set_value(insult_row, insult_col, f"\\MINIONSXDDDD #{seq}"),
+            set_format(
+                0,
+                0,
+                CellFormat(
                     font_size=18,
                     text_color=(255, 255, 0),
                     background_color=(seq % 256, (seq // 256) % 256, 32),
@@ -262,12 +259,7 @@ class _EditPlanner:
             link_row, link_col = rng.choice(link_cells)
             self._used[sheet.sheet_id].add((link_row, link_col))
             commands.append(
-                EditCommand(
-                    kind="set_value",
-                    row=link_row,
-                    col=link_col,
-                    value=f"https://snip.example.net/t/minion{seq}",
-                )
+                set_value(link_row, link_col, f"https://snip.example.net/t/minion{seq}")
             )
         return commands
 
@@ -464,8 +456,8 @@ def _simulate_constrained(
         if decoy_clicks > 0 and not decoy_links:
             raise InfeasibleTargets("decoy clicks requested but no decoy links minted")
 
-        clickers = [p for p in profiles if p.source_ip_pool] or None
-        if clickers is None:
+        clickers = [p for p in profiles if p.source_ip_pool]
+        if not clickers:
             raise InfeasibleTargets("clicks requested but no profile has an IP pool")
         ip_owner: dict[str, VisitorProfile] = {}
         for profile in clickers:
@@ -504,12 +496,26 @@ def _simulate_constrained(
         rng.shuffle(remaining)
         while len(controlled_ips) < targets.unique_controlled_ips:
             controlled_ips.append(remaining.pop())
-        uncovered = [c for c in chosen if not any(ip in controlled_ips for ip in by_country[c])] if chosen else []
+        uncovered = [c for c in chosen if not any(ip in controlled_ips for ip in by_country[c])]
         if len(uncovered) > decoy_clicks:
             raise InfeasibleTargets(
                 f"{len(uncovered)} countries can only be reached by decoy clicks "
                 f"but just {decoy_clicks} are available"
             )
+
+        def clicks(ips: list[str], links: list[HoneyLink]) -> None:
+            for ip in ips:
+                profile = ip_owner[ip]
+                actions.append(
+                    _click_action(
+                        _window_moment(rng, targets),
+                        profile.name,
+                        rng.choice(links),
+                        ip,
+                        rng.choice(profile.user_agent_pool),
+                        rng,
+                    )
+                )
 
         visit_ips = list(controlled_ips)
         visit_ips += [
@@ -517,35 +523,12 @@ def _simulate_constrained(
             for _ in range(targets.controlled_visits - len(controlled_ips))
         ]
         rng.shuffle(visit_ips)
-        for ip in visit_ips:
-            profile = ip_owner.get(ip, clickers[0])
-            actions.append(
-                _click_action(
-                    _window_moment(rng, targets),
-                    profile.name,
-                    rng.choice(controlled_links),
-                    ip,
-                    rng.choice(profile.user_agent_pool),
-                    rng,
-                )
-            )
-
-        decoy_ips = [rng.choice(by_country[c]) for c in uncovered] if uncovered else []
+        clicks(visit_ips, controlled_links)
+        decoy_ips = [rng.choice(by_country[c]) for c in uncovered]
         decoy_ips += [
             rng.choice(usable_ips) for _ in range(decoy_clicks - len(decoy_ips))
         ]
-        for ip in decoy_ips:
-            profile = ip_owner.get(ip, clickers[0])
-            actions.append(
-                _click_action(
-                    _window_moment(rng, targets),
-                    profile.name,
-                    rng.choice(decoy_links),
-                    ip,
-                    rng.choice(profile.user_agent_pool),
-                    rng,
-                )
-            )
+        clicks(decoy_ips, decoy_links)
     return actions
 
 
@@ -586,31 +569,22 @@ def simulate(
     return ActionTrace(actions=tuple(ordered), meta=meta)
 
 
-@dataclass
-class ReplayHandles:
-    """Live system surfaces a trace is replayed against."""
-
-    sheets: dict[str, HoneySheet]
-    core: LinkServerCore
-    mailbox_dir: Path
-
-
-def replay(trace: ActionTrace, handles: ReplayHandles) -> None:
+def replay(
+    trace: ActionTrace, sheets: dict[str, HoneySheet], core: LinkServerCore, mailbox_dir: Path
+) -> None:
     """Drive every traced action through the pipeline, in order.
 
     Opens and edits emit mailbox notifications; clicks go through the
     tracker core and land in the access log. A rejected action aborts
     with the index of the offender.
     """
-    host = urlsplit(handles.core.registry.short_base).netloc
+    host = urlsplit(core.registry.short_base).netloc
     for index, action in enumerate(trace):
         try:
             if action.kind == "open":
-                emit_notification(
-                    open_event(action.sheet_id, action.at), handles.mailbox_dir
-                )
+                emit_notification(open_event(action.sheet_id, action.at), mailbox_dir)
             elif action.kind == "edit":
-                sheet = handles.sheets.get(action.sheet_id)
+                sheet = sheets.get(action.sheet_id)
                 if sheet is None:
                     raise ReplayError(index, f"unknown sheet {action.sheet_id!r}")
                 before = take_snapshot(sheet, action.at)
@@ -620,13 +594,12 @@ def replay(trace: ActionTrace, handles: ReplayHandles) -> None:
                 if changes.is_empty():
                     raise ReplayError(index, "edit action produced no change")
                 emit_notification(
-                    modification_event(action.sheet_id, action.at, changes),
-                    handles.mailbox_dir,
+                    modification_event(action.sheet_id, action.at, changes), mailbox_dir
                 )
             elif action.kind == "click":
                 params = action.params
                 headers = [("Host", host), ("User-Agent", params["user_agent"])]
-                handles.core.handle(
+                core.handle(
                     "GET",
                     f"/t/{params['token']}",
                     headers,

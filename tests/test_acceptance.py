@@ -40,7 +40,6 @@ from honeysheets.sheetstore import (
 )
 from honeysheets.simharness import (
     ExperimentTarget,
-    ReplayHandles,
     TargetCounts,
     default_profiles,
     replay,
@@ -50,7 +49,7 @@ from honeysheets.simharness import (
 from conftest import geo_ip_pool, make_fleet, make_geo_table, utc
 from test_honeygen import mod97_oracle
 from test_notify import random_event
-from test_sheetstore import brute_force_equal_dim_diff, random_snapshot
+from test_sheetstore import brute_force_diff, random_snapshot
 
 
 def _verdict(criterion: int, description: str, ok: bool) -> None:
@@ -80,7 +79,7 @@ def test_criterion_2_diff_equals_brute_force_and_roundtrips() -> None:
         before = random_snapshot(rng, rows, cols)
         after = random_snapshot(rng, rows, cols)
         changes = diff(before, after)
-        cells, widths = brute_force_equal_dim_diff(before, after)
+        cells, widths = brute_force_diff(before, after)
         got_cells = {(c.row, c.col, c.old, c.new) for c in changes.cell_changes}
         got_widths = {(l.col, l.old_width, l.new_width) for l in changes.layout_changes}
         rebuilt = apply_changeset(before, changes)
@@ -115,10 +114,7 @@ def test_criterion_3_field_count_replay(tmp_path) -> None:
 
     sink = AccessLogWriter(tmp_path / "access.log")
     core = LinkServerCore(registry, sink)
-    handles = ReplayHandles(
-        sheets={s.sheet_id: s for s in sheets}, core=core, mailbox_dir=tmp_path / "mailbox"
-    )
-    replay(trace, handles)
+    replay(trace, {s.sheet_id: s for s in sheets}, core, tmp_path / "mailbox")
     sink.close()
     timeline, quarantined = ingest_mailbox(tmp_path / "mailbox")
     logs = load_access_log(tmp_path / "access.log")

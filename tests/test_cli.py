@@ -101,6 +101,16 @@ def test_diff_command(tmp_path) -> None:
     assert changes.cell_changes[0].new.value == "renamed"
 
 
+def test_diff_command_rejects_a_ragged_snapshot(tmp_path, capsys) -> None:
+    snapshot = {"sheet_id": "s", "taken_at": "2024-01-01T00:00:00Z",
+                "grid": [[encode(Cell("a"))] * 2], "column_widths": [100] * 3}
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps(snapshot))
+    assert run(["diff", "--before", str(ragged), "--after", str(ragged),
+                "--out", str(tmp_path / "changes.json")]) == 2
+    assert "ragged grid" in capsys.readouterr().err
+
+
 def test_full_pipeline_through_cli(tmp_path) -> None:
     sheets_path = tmp_path / "sheets.json"
     registry_path = tmp_path / "registry.json"
@@ -215,3 +225,69 @@ def test_serve_command_over_subprocess(tmp_path) -> None:
     assert proc.returncode == 0
     entries = load_access_log(log_path)
     assert len(entries) == 1 and entries[0].token == token
+
+
+def _replayed_world(tmp_path):
+    """Sheets, a free-running trace and the report inputs; returns the report arguments."""
+    sheets, registry, geo = tmp_path / "sheets.json", tmp_path / "registry.json", tmp_path / "geo.csv"
+    profiles, trace, bounds = tmp_path / "profiles.json", tmp_path / "trace.json", tmp_path / "b.json"
+    assert run(["gen", "--count", "2", "--seed", "7", "--out", str(sheets),
+                "--registry", str(registry)]) == 0
+    make_geo_table().save_csv(geo)
+    from honeysheets.simharness import default_profiles
+
+    profiles.write_text(json.dumps([encode(p) for p in default_profiles(geo_ip_pool())]))
+    bounds.write_text(json.dumps([
+        {"name": "all", "start": "2016-01-23T00:00:00Z", "end": "2016-03-01T00:00:00Z"},
+    ]))
+    assert run(["simulate", "--profiles", str(profiles), "--seed", "5", "--days", "20",
+                "--start", "2016-01-23T00:00:00Z", "--sheets", str(sheets),
+                "--registry", str(registry), "--out", str(trace)]) == 0
+    replay = ["replay", "--trace", str(trace), "--sheets", str(sheets), "--registry", str(registry)]
+    report = ["--geo", str(geo), "--bounds", str(bounds), "--registry", str(registry)]
+    return replay, report
+
+
+def _replay_and_report(replay, report, out, times: int = 1) -> int:
+    mailbox, log, timeline = out / "mailbox", out / "access.log", out / "timeline.json"
+    for _ in range(times):
+        assert run([*replay, "--mailbox", str(mailbox), "--log", str(log)]) == 0
+    assert run(["ingest", "--mailbox", str(mailbox), "--out", str(timeline)]) == 0
+    return run(["report", "--timeline", str(timeline), "--log", str(log), *report,
+                "--out", str(out / "report")])
+
+
+def test_replaying_twice_reports_like_one_replay(tmp_path) -> None:
+    replay, report = _replayed_world(tmp_path)
+    (tmp_path / "once").mkdir()
+    (tmp_path / "twice").mkdir()
+    assert _replay_and_report(replay, report, tmp_path / "once") == 0
+    assert _replay_and_report(replay, report, tmp_path / "twice", times=2) == 0
+    log_lines = (tmp_path / "twice" / "access.log").read_text().splitlines()
+    assert len(log_lines) == 2 * len(load_access_log(tmp_path / "twice" / "access.log"))
+    once = json.loads((tmp_path / "once" / "report" / "report.json").read_text())
+    assert once["total"]["click_count"] > 0
+    for name in ("report.json", "countries.csv"):
+        assert (tmp_path / "twice" / "report" / name).read_bytes() == (
+            tmp_path / "once" / "report" / name
+        ).read_bytes()
+
+
+def test_report_skips_a_torn_last_log_line_and_rejects_a_bad_one(tmp_path, capsys) -> None:
+    replay, report = _replayed_world(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _replay_and_report(replay, report, out) == 0
+    clicks = json.loads((out / "report" / "report.json").read_text())["total"]["click_count"]
+    log = out / "access.log"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[:-1]) + lines[-1][:20])
+    capsys.readouterr()
+    assert _replay_and_report(replay, report, out, times=0) == 0
+    assert f"line {len(lines)} is torn" in capsys.readouterr().err
+    torn = json.loads((out / "report" / "report.json").read_text())
+    assert torn["total"]["click_count"] == clicks - 1
+
+    log.write_text("".join(lines[:2]) + "{not json\n" + "".join(lines[3:]))
+    assert _replay_and_report(replay, report, out, times=0) == 2
+    assert "line 3:" in capsys.readouterr().err

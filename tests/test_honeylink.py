@@ -216,6 +216,16 @@ def test_core_logs_unknown_token_with_404(tmp_path) -> None:
     assert [e.path for e in entries] == ["/t/zzzzzz", "/robots.txt"]
 
 
+def test_log_reader_splits_only_on_newlines(tmp_path) -> None:
+    # http.server decodes header bytes as Latin-1, so a raw 0x85 byte arrives
+    # as U+0085, which str.splitlines() treats as a line break.
+    registry, link, sink, core = _make_core(tmp_path)
+    core.handle("GET", "/robots.txt", [("User-Agent", "a\x85b\u2028c")], "198.51.100.9", 1234)
+    sink.close()
+    entries = load_access_log(tmp_path / "access.log")
+    assert [e.header("User-Agent") for e in entries] == ["a\x85b\u2028c"]
+
+
 class _BrokenSink:
     def append(self, entry) -> None:
         raise OSError("disk full")

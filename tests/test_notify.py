@@ -54,13 +54,12 @@ def random_changeset(rng: Random) -> ChangeSet:
 def random_event(rng: Random):
     at = T0 + timedelta(seconds=rng.randrange(86400 * 72), microseconds=rng.randrange(10**6))
     sheet_id = f"sheet-{rng.randrange(5)}"
-    snapshot_at = at + timedelta(minutes=7) if rng.random() < 0.3 else None
     if rng.random() < 0.5:
-        return open_event(sheet_id, at, snapshot_at=snapshot_at)
+        return open_event(sheet_id, at)
     while True:
         changes = random_changeset(rng)
         if not changes.is_empty():
-            return modification_event(sheet_id, at, changes, snapshot_at=snapshot_at)
+            return modification_event(sheet_id, at, changes)
 
 
 def test_open_event_message_shape() -> None:

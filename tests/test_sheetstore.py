@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from honeysheets._util import decode
 from honeysheets.errors import BadIndex, EmptyChangeSet, SheetMismatch
 from honeysheets.sheetstore import (
+    DEFAULT_COLUMN_WIDTH,
+    EMPTY_CELL,
     Cell,
     CellFormat,
     ChangeSet,
@@ -66,18 +68,34 @@ def random_snapshot(rng: Random, rows: int, cols: int) -> Snapshot:
     )
 
 
-def brute_force_equal_dim_diff(before: Snapshot, after: Snapshot):
-    """Reference diff: compare every cell and width independently."""
+def brute_force_diff(before: Snapshot, after: Snapshot):
+    """Reference diff: compare every cell and width of `after` independently.
+
+    A cell or column past `before`'s shape compares against an empty cell
+    or the default width.
+    """
     cells = set()
-    for r in range(before.n_rows):
-        for c in range(before.n_cols):
-            if before.grid[r][c] != after.grid[r][c]:
-                cells.add((r, c, before.grid[r][c], after.grid[r][c]))
+    for r in range(after.n_rows):
+        for c in range(after.n_cols):
+            inside = r < before.n_rows and c < before.n_cols
+            old = before.grid[r][c] if inside else EMPTY_CELL
+            if old != after.grid[r][c]:
+                cells.add((r, c, old, after.grid[r][c]))
     widths = set()
-    for c in range(before.n_cols):
-        if before.column_widths[c] != after.column_widths[c]:
-            widths.add((c, before.column_widths[c], after.column_widths[c]))
+    for c in range(after.n_cols):
+        old = before.column_widths[c] if c < before.n_cols else DEFAULT_COLUMN_WIDTH
+        if old != after.column_widths[c]:
+            widths.add((c, old, after.column_widths[c]))
     return cells, widths
+
+
+def brute_force_structural(before: Snapshot, after: Snapshot):
+    """The tail-alignment rule: indices past the shorter dimension appear or vanish."""
+    out = set()
+    for axis, old, new in (("row", before.n_rows, after.n_rows), ("col", before.n_cols, after.n_cols)):
+        out |= {(f"{axis}_deleted", i) for i in range(new, old)}
+        out |= {(f"{axis}_inserted", i) for i in range(old, new)}
+    return out
 
 
 def test_snapshot_is_isolated_from_later_edits() -> None:
@@ -210,15 +228,18 @@ def _random_edit(rng: Random, sheet: HoneySheet) -> None:
 
 def test_diff_matches_brute_force_on_equal_dimensions() -> None:
     rng = Random(2024)
-    for _ in range(200):
+    for n in range(400):
         rows, cols = rng.randint(1, 12), rng.randint(1, 8)
         before = random_snapshot(rng, rows, cols)
+        if n >= 200:  # unequal shapes as well, in both directions
+            rows, cols = rng.randint(0, 12), rng.randint(1, 8)
         after = random_snapshot(rng, rows, cols)
         changes = diff(before, after)
-        cells, widths = brute_force_equal_dim_diff(before, after)
+        cells, widths = brute_force_diff(before, after)
         assert {(c.row, c.col, c.old, c.new) for c in changes.cell_changes} == cells
         assert {(l.col, l.old_width, l.new_width) for l in changes.layout_changes} == widths
-        assert not changes.structural_changes
+        structural = {(s.kind, s.index) for s in changes.structural_changes}
+        assert structural == brute_force_structural(before, after)
 
 
 def test_roundtrip_applies_diff_across_dimension_changes() -> None:

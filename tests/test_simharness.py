@@ -13,7 +13,6 @@ from honeysheets.simharness import (
     Action,
     ActionTrace,
     ExperimentTarget,
-    ReplayHandles,
     TargetCounts,
     VisitorProfile,
     default_profiles,
@@ -53,10 +52,7 @@ def make_world(**kwargs):
 def run_pipeline(tmp_path: Path, registry, sheets, trace):
     sink = AccessLogWriter(tmp_path / "access.log")
     core = LinkServerCore(registry, sink)
-    handles = ReplayHandles(
-        sheets={s.sheet_id: s for s in sheets}, core=core, mailbox_dir=tmp_path / "mailbox"
-    )
-    replay(trace, handles)
+    replay(trace, {s.sheet_id: s for s in sheets}, core, tmp_path / "mailbox")
     sink.close()
     timeline, quarantined = ingest_mailbox(tmp_path / "mailbox")
     assert quarantined == 0
@@ -202,13 +198,9 @@ def test_replay_rejects_unknown_sheet(tmp_path) -> None:
         )
     )
     sink = AccessLogWriter(tmp_path / "a.log")
-    handles = ReplayHandles(
-        sheets={s.sheet_id: s for s in sheets},
-        core=LinkServerCore(registry, sink),
-        mailbox_dir=tmp_path / "mb",
-    )
+    core = LinkServerCore(registry, sink)
     with pytest.raises(ReplayError) as info:
-        replay(trace, handles)
+        replay(trace, {s.sheet_id: s for s in sheets}, core, tmp_path / "mb")
     sink.close()
     assert info.value.index == 0
 
