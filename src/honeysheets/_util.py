@@ -20,9 +20,13 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+# json.dumps builds a new encoder on every call that passes options.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def compact_dumps(obj: Any) -> str:
     """One-line JSON with no whitespace; key order is the dict's insertion order."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _COMPACT.encode(obj)
 
 
 def format_ts(dt: datetime) -> str:

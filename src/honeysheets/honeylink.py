@@ -9,12 +9,16 @@ are logged too: a scanner probing the host is itself a signal.
 
 from __future__ import annotations
 
+import email.message
+import email.parser
+import http.client
 import json
 import re
 import string
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from random import Random
@@ -29,8 +33,18 @@ TARGET_CLASSES = ("controlled", "decoy_bank")
 
 # Largest request body the tracker drains; a longer declared body gets a 400.
 MAX_BODY_BYTES = 64 * 1024
+# Seconds a connection may sit idle, or stall mid-request, before the tracker closes it.
+IDLE_TIMEOUT_S = 30.0
 
 _TOKEN_PATH = re.compile(r"^/t/([A-Za-z0-9]+)$")
+
+# The stdlib's limits on a request head (http.client): longest line, most lines.
+_MAX_HEAD_LINE = 65536
+_MAX_HEAD_LINES = 100
+# A header line stored without the email parser: a field name, a colon and a
+# value with no CR or LF in it. The parser keeps such a line as the name and
+# the value with its leading blanks dropped, which is what the groups hold.
+_PLAIN_HEADER = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n\Z")
 
 # Browser and OS markers in precedence order; the first substring hit wins.
 # SamsungBrowser and Chrome UAs also contain "Safari", and Android UAs
@@ -270,16 +284,96 @@ def _body_length(value: str | None) -> int | None:
     return length if length <= MAX_BODY_BYTES else None
 
 
+def _read_head(rfile) -> list[bytes]:
+    """A request's header lines and the line that ends them, within the stdlib's limits."""
+    lines = []
+    while True:
+        line = rfile.readline(_MAX_HEAD_LINE + 1)
+        if len(line) > _MAX_HEAD_LINE:
+            raise http.client.LineTooLong("header line")
+        lines.append(line)
+        if len(lines) > _MAX_HEAD_LINES:
+            raise http.client.HTTPException(f"got more than {_MAX_HEAD_LINES} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return lines
+
+
+def _parse_head(lines: list[bytes], message_class: type) -> email.message.Message:
+    """The headers as http.client.parse_headers builds them from `lines`.
+
+    Plain `Name: value` lines are stored as they are; a head with any other
+    line goes through the email parser, as in the stdlib.
+    """
+    headers = message_class()
+    for line in lines[:-1]:
+        match = _PLAIN_HEADER.match(line)
+        if match is None:
+            text = b"".join(lines).decode("iso-8859-1")
+            return email.parser.Parser(_class=message_class).parsestr(text)
+        headers.set_raw(match.group(1).decode("iso-8859-1"), match.group(2).decode("iso-8859-1"))
+    return headers
+
+
 class _TrackerHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "hlserve"
+    # Buffer each answer so that it leaves in one send: headers and body sent
+    # apart stall a keep-alive 404 on Nagle's algorithm and the delayed ACK.
+    wbufsize = -1
+    timeout = IDLE_TIMEOUT_S
 
-    def _serve(self, send_body: bool) -> None:
+    def parse_request(self) -> bool:
+        parsed = self._parse_http1_request()
+        if parsed is None:
+            parsed = super().parse_request()
+        if not parsed:
+            return False
         core: LinkServerCore = self.server.core  # type: ignore[attr-defined]
         ip, port = self.client_address[0], self.client_address[1]
-        headers = [(k, v) for k, v in self.headers.items()]
-        # Log before anything else: a malformed request is a hit too.
-        status, location = core.handle(self.command, self.path, headers, ip, port)
+        # Log before anything else: a malformed request or an unsupported
+        # method is a hit too. The stdlib answers the latter with 501.
+        self._answer = core.handle(self.command, self.path, list(self.headers.items()), ip, port)
+        # Send a buffered "100 Continue" now: the client holds its body until it arrives.
+        self.wfile.flush()
+        return True
+
+    def _parse_http1_request(self) -> bool | None:
+        """The stdlib's parse_request for a request line ending in HTTP/1.0 or HTTP/1.1.
+
+        The stdlib parses every head with the email parser, which costs more
+        than the rest of a request; `_parse_head` spares it for plain lines.
+        Returns None, having read nothing past the request line, when the line
+        has any other form: the stdlib then parses it, and answers it if bad.
+        """
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            return None
+        self.requestline = requestline
+        self.command, path, self.request_version = words
+        # As in the stdlib (gh-87389): a client would take "//x" for a host.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.close_connection = self.request_version == "HTTP/1.0"
+        try:
+            self.headers = _parse_head(_read_head(self.rfile), self.MessageClass)
+        except http.client.LineTooLong as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err))
+            return False
+        except http.client.HTTPException as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers", str(err))
+            return False
+        conntype = self.headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        expect = self.headers.get("Expect", "").lower()
+        if expect == "100-continue" and self.request_version == "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def _serve(self, send_body: bool) -> None:
+        status, location = self._answer
         pending = _body_length(self.headers.get("Content-Length"))
         if pending is None:
             # The body cannot be framed, so the connection cannot be reused.
@@ -318,7 +412,7 @@ class _TrackerHandler(BaseHTTPRequestHandler):
 
 
 class HoneyLinkServer:
-    """Threaded HTTP tracker; each request runs in its own handler thread."""
+    """Threaded HTTP tracker; each connection is served by its own handler thread."""
 
     def __init__(self, core: LinkServerCore, bind: tuple[str, int] = ("127.0.0.1", 0)):
         self.core = core

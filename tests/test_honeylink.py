@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import http.client
+import io
 import itertools
 import json
 import socket
+import statistics
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ from random import Random
 
 import pytest
 
+from honeysheets import honeylink
 from honeysheets._util import compact_dumps, decode, encode
 from honeysheets.errors import BadDestination, KeyspaceExhausted
 from honeysheets.honeylink import (
@@ -303,24 +306,196 @@ def test_concurrent_requests_log_in_clock_order(tmp_path) -> None:
     assert stamps == sorted(stamps)
 
 
+def _exchange(address: tuple[str, int], request: str) -> bytes:
+    """Send raw request bytes and read until the server closes the connection.
+
+    A server that keeps the connection open trips the 2 s socket timeout.
+    """
+    with socket.create_connection(address, timeout=2) as sock:
+        sock.sendall(request.encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
 @pytest.mark.parametrize("length", ["zz", "-1", str(MAX_BODY_BYTES + 1)])
 def test_malformed_content_length_is_logged_then_refused(tmp_path, length) -> None:
     registry, link, sink, core = _make_core(tmp_path)
     request = f"POST /t/{link.token} HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
     with HoneyLinkServer(core) as server:
-        # The read ends only when the server closes the connection; a handler
-        # that waits for a body instead trips the 2 s timeout.
-        with socket.create_connection(server.address, timeout=2) as sock:
-            sock.sendall(request.encode("ascii"))
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
+        reply = _exchange(server.address, request)
     sink.close()
     assert reply.startswith(b"HTTP/1.1 400 ")
     entries = load_access_log(tmp_path / "access.log")
     assert [(e.method, e.token, e.header("Content-Length")) for e in entries] == [
         ("POST", link.token, length)
     ]
+
+
+def test_keep_alive_404s_are_not_stalled(tmp_path) -> None:
+    # Headers and body sent as two writes stalled each keep-alive 404 for
+    # about 40 ms: Nagle's algorithm held the body until the delayed ACK.
+    registry, link, sink, core = _make_core(tmp_path)
+    with HoneyLinkServer(core) as server:
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        elapsed = []
+        for i in range(20):
+            started = time.perf_counter()
+            conn.request("GET", f"/probe/{i}")
+            response = conn.getresponse()
+            body = response.read()
+            elapsed.append(time.perf_counter() - started)
+            assert (response.status, body) == (404, b"not found\n")
+        conn.close()
+    sink.close()
+    assert statistics.median(elapsed) < 0.010
+
+
+@pytest.mark.parametrize("request_head,status_line,headers,body", [
+    ("GET {token} HTTP/1.1", b"HTTP/1.1 302 Found",
+     [("Location", "https://www.google.com"), ("Content-Length", "0")], b""),
+    ("GET /robots.txt HTTP/1.1", b"HTTP/1.1 404 Not Found",
+     [("Content-Type", "text/plain"), ("Content-Length", "10")], b"not found\n"),
+    ("HEAD /robots.txt HTTP/1.1", b"HTTP/1.1 404 Not Found",
+     [("Content-Type", "text/plain"), ("Content-Length", "10")], b""),
+    ("POST {token} HTTP/1.1\r\nContent-Length: zz", b"HTTP/1.1 400 Bad Request",
+     [("Content-Length", "0"), ("Connection", "close")], b""),
+], ids=["302", "GET-404", "HEAD-404", "400"])
+def test_wire_form_of_each_answer(tmp_path, request_head, status_line, headers, body) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    request = request_head.format(token=f"/t/{link.token}") + "\r\nConnection: close\r\n\r\n"
+    with HoneyLinkServer(core) as server:
+        reply = _exchange(server.address, request)
+    sink.close()
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    first, *lines = head.split(b"\r\n")
+    fields = [tuple(line.decode("latin-1").split(": ", 1)) for line in lines]
+    assert first == status_line
+    assert [name for name, _ in fields[:2]] == ["Server", "Date"]
+    assert fields[0][1].startswith("hlserve ")
+    assert fields[2:] == headers
+    assert rest == body
+
+
+@pytest.mark.parametrize("raw", [
+    "OPTIONS {token} HTTP/1.1\r\n\r\n",
+    "PUT /x HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
+], ids=["OPTIONS", "PUT"])
+def test_unsupported_methods_are_logged_then_refused(tmp_path, raw) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    request = raw.format(token=f"/t/{link.token}")
+    with HoneyLinkServer(core) as server:
+        reply = _exchange(server.address, request)
+    sink.close()
+    assert reply.startswith(b"HTTP/1.1 501 ")
+    method, path = request.split()[:2]
+    entries = load_access_log(tmp_path / "access.log")
+    assert [(e.method, e.path) for e in entries] == [(method, path)]
+
+
+def test_expect_100_continue_is_sent_before_the_body_arrives(tmp_path) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    head = f"POST /t/{link.token} HTTP/1.1\r\nContent-Length: 4\r\nExpect: 100-continue\r\n\r\n"
+    with HoneyLinkServer(core) as server:
+        with socket.create_connection(server.address, timeout=2) as sock:
+            sock.sendall(head.encode("ascii"))
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, interim
+                interim += chunk
+            sock.sendall(b"body")
+            reply = sock.recv(4096)
+    sink.close()
+    assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+    assert reply.startswith(b"HTTP/1.1 302 ")
+
+
+@pytest.mark.parametrize("head", [
+    b"Host: a\r\nUser-Agent: b c\r\n\r\n",
+    b"Host:a\r\nX-Empty:\r\nX-Blank: \t \r\n\r\n",
+    b"X-Pad: \t v  \r\nx-pad: second\r\n\n",
+    b"Host: a\n\n",
+    b"X-Latin: caf\xe9\r\n\r\n",
+    b"\r\n",
+    b"X-Fold: one\r\n two\r\n\r\n",
+    b"No colon\r\nHost: a\r\n\r\n",
+    b": no name\r\nHost: a\r\n\r\n",
+    b"X-Cr: a\rb\r\n\r\n",
+    b"Host: a\r\nX-Cut: end",
+], ids=["plain", "empty-values", "blanks-and-repeats", "bare-lf", "latin-1", "no-headers",
+        "folded", "no-colon", "no-name", "bare-cr", "cut-short"])
+def test_request_heads_parse_as_in_the_stdlib(head) -> None:
+    # Plain lines skip the email parser; every other head goes through it.
+    expected = http.client.parse_headers(io.BytesIO(head))
+    lines = honeylink._read_head(io.BytesIO(head))
+    parsed = honeylink._parse_head(lines, http.client.HTTPMessage)
+    assert type(parsed) is http.client.HTTPMessage
+    assert parsed.items() == expected.items()
+
+
+def test_random_request_heads_parse_as_in_the_stdlib() -> None:
+    # Mostly plain lines, so that both paths run often.
+    names = [b"Host", b"x-a", b"X-A", b"Host", b"x-a", b"From ", b"a b", b""]
+    colons = [b":", b": ", b": ", b":\t ", b": ", b" :"]
+    values = [b"", b"v", b"v w ", b"\xe9", b"a:b", b"v", b"a\rb", b"v\r\n more"]
+    endings = [b"\r\n", b"\r\n", b"\r\n", b"\n", b"\r"]
+    rng = Random(11)
+    for _ in range(500):
+        head = b"".join(
+            rng.choice(names) + rng.choice(colons) + rng.choice(values) + rng.choice(endings)
+            for _ in range(rng.randrange(4))
+        ) + b"\r\n"
+        expected = http.client.parse_headers(io.BytesIO(head))
+        parsed = honeylink._parse_head(honeylink._read_head(io.BytesIO(head)), http.client.HTTPMessage)
+        assert parsed.items() == expected.items(), head
+
+
+def test_request_heads_keep_the_stdlib_limits() -> None:
+    with pytest.raises(http.client.LineTooLong):
+        honeylink._read_head(io.BytesIO(b"X-Long: " + b"y" * 65536 + b"\r\n\r\n"))
+    with pytest.raises(http.client.HTTPException, match="more than 100 headers"):
+        honeylink._read_head(io.BytesIO(b"X-Many: y\r\n" * 101 + b"\r\n"))
+    assert len(honeylink._read_head(io.BytesIO(b"X-Many: y\r\n" * 99 + b"\r\n"))) == 100
+
+
+@pytest.mark.parametrize("raw,status_line,logged_path", [
+    ("GET //t/{token} HTTP/1.1\r\nConnection: close\r\n\r\n", b"HTTP/1.1 302 Found", "/t/{token}"),
+    ("GET /robots.txt HTTP/1.0\r\n\r\n", b"HTTP/1.1 404 Not Found", "/robots.txt"),
+    ("GET /robots.txt  HTTP/1.1 \r\nConnection: close\r\n\r\n", b"HTTP/1.1 404 Not Found",
+     "/robots.txt"),
+    ("GET /x HTTP/1.1\r\n" + "X-Many: y\r\n" * 101 + "\r\n",
+     b"HTTP/1.1 431 Too many headers", None),
+], ids=["double-slash", "http-1.0-closes", "extra-blanks", "too-many-headers"])
+def test_request_lines_are_handled_as_in_the_stdlib(tmp_path, raw, status_line, logged_path) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    with HoneyLinkServer(core) as server:
+        reply = _exchange(server.address, raw.format(token=link.token))
+    sink.close()
+    assert reply.split(b"\r\n", 1)[0] == status_line
+    entries = load_access_log(tmp_path / "access.log")
+    expected = [] if logged_path is None else [logged_path.format(token=link.token)]
+    assert [e.path for e in entries] == expected
+
+
+@pytest.mark.parametrize("raw", [
+    "",
+    "POST /t/abc HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
+], ids=["silent", "POST-without-body"])
+def test_idle_connections_are_closed_after_the_timeout(tmp_path, monkeypatch, raw) -> None:
+    assert honeylink._TrackerHandler.timeout == honeylink.IDLE_TIMEOUT_S
+    monkeypatch.setattr(honeylink._TrackerHandler, "timeout", 0.5)
+    registry, link, sink, core = _make_core(tmp_path)
+    with HoneyLinkServer(core) as server:
+        started = time.perf_counter()
+        reply = _exchange(server.address, raw)
+        waited = time.perf_counter() - started
+    sink.close()
+    assert reply == b""
+    assert 0.4 < waited < 2
+    entries = load_access_log(tmp_path / "access.log")
+    assert [(e.method, e.path) for e in entries] == ([("POST", "/t/abc")] if raw else [])
 
 
 def test_every_minted_link_resolves_back() -> None:
