@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
 
-from ._util import canonical_dumps, decode, encode, parse_ts
+from ._util import canonical_dumps, compact_dumps, decode, encode, parse_ts
 from .analytics import GeoTable, aggregate, export_report, load_windows
 from .errors import HoneySheetsError
 from .honeygen import SheetConfig, build_honey_sheet, derive_sheet_id
@@ -149,6 +150,11 @@ def _cmd_serve(args: argparse.Namespace, config: Config) -> int:
     sink = AccessLogWriter(args.log)
     core = LinkServerCore(registry, sink)
     server = HoneyLinkServer(core, bind=(host, int(port_text)))
+
+    def print_counters(*_signal) -> None:  # to the operator only, never over the port
+        print(compact_dumps(server.counters()), file=sys.stderr, flush=True)
+
+    signal.signal(signal.SIGUSR1, print_counters)
     server.start()
     bound_host, bound_port = server.address
     print(f"listening on {bound_host}:{bound_port}", file=sys.stderr, flush=True)
@@ -162,6 +168,7 @@ def _cmd_serve(args: argparse.Namespace, config: Config) -> int:
         failures = core.close()
         if failures:
             print(f"warning: {failures} log write(s) failed", file=sys.stderr)
+        print_counters()
     return 0
 
 

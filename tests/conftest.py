@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import socket
 from datetime import datetime, timezone
 from random import Random
 
@@ -19,6 +20,19 @@ COUNTRY_CODES = (
 
 def utc(*args) -> datetime:
     return datetime(*args, tzinfo=timezone.utc)
+
+
+def exchange(address: tuple[str, int], request: str) -> bytes:
+    """Send raw request bytes and read until the server closes the connection.
+
+    A server that keeps the connection open trips the 2 s socket timeout.
+    """
+    with socket.create_connection(address, timeout=2) as sock:
+        sock.sendall(request.encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
 
 
 def make_fleet(n_sheets: int = 5, rows: int = 20, seed0: int = 100):

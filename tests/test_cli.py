@@ -9,10 +9,16 @@ import urllib.request
 
 from honeysheets._util import decode, encode
 from honeysheets.cli import run
-from honeysheets.honeylink import LinkRegistry, load_access_log
+from honeysheets.honeylink import (
+    AccessLogWriter,
+    HoneyLinkServer,
+    LinkRegistry,
+    LinkServerCore,
+    load_access_log,
+)
 from honeysheets.sheetstore import Cell, ChangeSet, sheets_from_json, sheets_to_json
 
-from conftest import make_geo_table, geo_ip_pool
+from conftest import exchange, make_geo_table, geo_ip_pool
 
 
 def test_help_exits_zero(capsys) -> None:
@@ -227,6 +233,33 @@ def test_serve_command_over_subprocess(tmp_path) -> None:
     assert len(entries) == 1 and entries[0].token == token
 
 
+def test_serve_prints_its_counters_on_sigusr1_and_at_shutdown(tmp_path) -> None:
+    registry_path = tmp_path / "registry.json"
+    run(["gen", "--rows", "2", "--links", "3", "--controlled", "3", "--seed", "1",
+         "--out", str(tmp_path / "s.json"), "--registry", str(registry_path)])
+    token = next(iter(LinkRegistry.load(registry_path).links))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "honeysheets.cli", "serve", "--registry", str(registry_path),
+         "--log", str(tmp_path / "access.log"), "--bind", "127.0.0.1:0"],
+        stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        port = int(proc.stderr.readline().strip().rsplit(":", 1)[1])
+        for request in (f"GET /t/{token} HTTP/1.1\r\nConnection: close\r\n\r\n",
+                        "GET /robots.txt HTTP/1.0\r\n\r\n", "GARBAGE\r\n"):
+            assert exchange(("127.0.0.1", port), request).startswith(b"HTTP/1.1 ")
+        proc.send_signal(signal.SIGUSR1)
+        counters = json.loads(proc.stderr.readline())
+    finally:
+        proc.send_signal(signal.SIGINT)
+        rest = proc.communicate(timeout=10)[1]
+    assert proc.returncode == 0
+    assert counters == {"answers": {"302": 1, "400": 1, "404": 1}, "malformed": 1,
+                        "idle_closes": 0, "open_connections": 0, "peak_connections": 1,
+                        "sink_failures": 0}
+    assert json.loads(rest.splitlines()[-1]) == counters
+
+
 def _replayed_world(tmp_path):
     """Sheets, a free-running trace and the report inputs; returns the report arguments."""
     sheets, registry, geo = tmp_path / "sheets.json", tmp_path / "registry.json", tmp_path / "geo.csv"
@@ -271,6 +304,25 @@ def test_replaying_twice_reports_like_one_replay(tmp_path) -> None:
         assert (tmp_path / "twice" / "report" / name).read_bytes() == (
             tmp_path / "once" / "report" / name
         ).read_bytes()
+
+
+def test_report_accepts_the_malformed_requests_the_tracker_logs(tmp_path) -> None:
+    replay, report = _replayed_world(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert _replay_and_report(replay, report, out) == 0
+    before = (out / "report" / "report.json").read_bytes()
+    log = out / "access.log"
+    logged = len(load_access_log(log))
+    with AccessLogWriter(log) as sink:
+        core = LinkServerCore(LinkRegistry.load(tmp_path / "registry.json"), sink)
+        with HoneyLinkServer(core) as server:
+            for request in ("GARBAGE\r\n", "GET /x HTTP/9.9\r\n\r\n",
+                            "GET /" + "x" * 65521 + " HTTP/1.1\r\n"):
+                exchange(server.address, request)
+    assert [e.method for e in load_access_log(log)[logged:]] == ["GARBAGE", "GET", "GET"]
+    assert _replay_and_report(replay, report, out, times=0) == 0
+    assert (out / "report" / "report.json").read_bytes() == before
 
 
 def test_report_skips_a_torn_last_log_line_and_rejects_a_bad_one(tmp_path, capsys) -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,13 @@ def test_pyproject_declares_no_runtime_dependencies() -> None:
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def test_importing_the_cli_loads_no_http_library_front_end() -> None:
+    # The tracker frames HTTP itself; http.client and email.parser load only on its error paths.
+    unwanted = ["email.parser", "http.client", "http.server", "socketserver", "ssl"]
+    code = f"import sys, honeysheets.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import http.client
 import io
 import itertools
@@ -30,7 +31,7 @@ from honeysheets.honeylink import (
     parse_user_agent,
 )
 
-from conftest import utc
+from conftest import exchange, utc
 
 # Labelled corpus used to pin down the substring precedence rules.
 UA_CORPUS = [
@@ -306,25 +307,12 @@ def test_concurrent_requests_log_in_clock_order(tmp_path) -> None:
     assert stamps == sorted(stamps)
 
 
-def _exchange(address: tuple[str, int], request: str) -> bytes:
-    """Send raw request bytes and read until the server closes the connection.
-
-    A server that keeps the connection open trips the 2 s socket timeout.
-    """
-    with socket.create_connection(address, timeout=2) as sock:
-        sock.sendall(request.encode("ascii"))
-        reply = b""
-        while chunk := sock.recv(4096):
-            reply += chunk
-    return reply
-
-
 @pytest.mark.parametrize("length", ["zz", "-1", str(MAX_BODY_BYTES + 1)])
 def test_malformed_content_length_is_logged_then_refused(tmp_path, length) -> None:
     registry, link, sink, core = _make_core(tmp_path)
     request = f"POST /t/{link.token} HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
     with HoneyLinkServer(core) as server:
-        reply = _exchange(server.address, request)
+        reply = exchange(server.address, request)
     sink.close()
     assert reply.startswith(b"HTTP/1.1 400 ")
     entries = load_access_log(tmp_path / "access.log")
@@ -366,7 +354,7 @@ def test_wire_form_of_each_answer(tmp_path, request_head, status_line, headers, 
     registry, link, sink, core = _make_core(tmp_path)
     request = request_head.format(token=f"/t/{link.token}") + "\r\nConnection: close\r\n\r\n"
     with HoneyLinkServer(core) as server:
-        reply = _exchange(server.address, request)
+        reply = exchange(server.address, request)
     sink.close()
     head, _, rest = reply.partition(b"\r\n\r\n")
     first, *lines = head.split(b"\r\n")
@@ -386,7 +374,7 @@ def test_unsupported_methods_are_logged_then_refused(tmp_path, raw) -> None:
     registry, link, sink, core = _make_core(tmp_path)
     request = raw.format(token=f"/t/{link.token}")
     with HoneyLinkServer(core) as server:
-        reply = _exchange(server.address, request)
+        reply = exchange(server.address, request)
     sink.close()
     assert reply.startswith(b"HTTP/1.1 501 ")
     method, path = request.split()[:2]
@@ -467,11 +455,20 @@ def test_request_heads_keep_the_stdlib_limits() -> None:
      "/robots.txt"),
     ("GET /x HTTP/1.1\r\n" + "X-Many: y\r\n" * 101 + "\r\n",
      b"HTTP/1.1 431 Too many headers", None),
-], ids=["double-slash", "http-1.0-closes", "extra-blanks", "too-many-headers"])
+    # Request lines the stdlib answered without a log line: logged with the words read.
+    ("GARBAGE\r\n", b"HTTP/1.1 400 Bad Request", ""),
+    ("GET /x HTTP/1.x\r\n\r\n", b"HTTP/1.1 400 Bad Request", "/x"),
+    ("GET /x\r\n\r\n", b"HTTP/1.1 400 Bad Request", "/x"),
+    ("GET /x HTTP/9.9\r\n\r\n", b"HTTP/1.1 505 HTTP Version Not Supported", "/x"),
+    # 65,537 bytes with the line end; the first 65,536 are logged.
+    ("GET /" + "x" * 65521 + " HTTP/1.1\r\n", b"HTTP/1.1 414 Request-URI Too Long",
+     "/" + "x" * 65521),
+], ids=["double-slash", "http-1.0-closes", "extra-blanks", "too-many-headers", "garbage",
+        "bad-version", "http-0.9", "version-2-and-up", "line-too-long"])
 def test_request_lines_are_handled_as_in_the_stdlib(tmp_path, raw, status_line, logged_path) -> None:
     registry, link, sink, core = _make_core(tmp_path)
     with HoneyLinkServer(core) as server:
-        reply = _exchange(server.address, raw.format(token=link.token))
+        reply = exchange(server.address, raw.format(token=link.token))
     sink.close()
     assert reply.split(b"\r\n", 1)[0] == status_line
     entries = load_access_log(tmp_path / "access.log")
@@ -484,18 +481,109 @@ def test_request_lines_are_handled_as_in_the_stdlib(tmp_path, raw, status_line, 
     "POST /t/abc HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
 ], ids=["silent", "POST-without-body"])
 def test_idle_connections_are_closed_after_the_timeout(tmp_path, monkeypatch, raw) -> None:
-    assert honeylink._TrackerHandler.timeout == honeylink.IDLE_TIMEOUT_S
-    monkeypatch.setattr(honeylink._TrackerHandler, "timeout", 0.5)
+    monkeypatch.setattr(honeylink, "IDLE_TIMEOUT_S", 0.5)
     registry, link, sink, core = _make_core(tmp_path)
     with HoneyLinkServer(core) as server:
         started = time.perf_counter()
-        reply = _exchange(server.address, raw)
+        reply = exchange(server.address, raw)
         waited = time.perf_counter() - started
+        idle_closes = server.counters()["idle_closes"]
     sink.close()
     assert reply == b""
     assert 0.4 < waited < 2
+    assert idle_closes == 1
     entries = load_access_log(tmp_path / "access.log")
     assert [(e.method, e.path) for e in entries] == ([("POST", "/t/abc")] if raw else [])
+
+
+def test_clients_over_the_connection_cap_wait_in_the_backlog(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(honeylink, "MAX_CONNECTIONS", 2)
+    registry, link, sink, core = _make_core(tmp_path)
+    with HoneyLinkServer(core) as server:
+        first, second, third = (socket.create_connection(server.address, timeout=2) for _ in range(3))
+        with first, second, third:
+            third.sendall(b"GET /third HTTP/1.1\r\nConnection: close\r\n\r\n")
+            third.settimeout(0.5)
+            cpu = time.process_time()
+            with pytest.raises(TimeoutError):
+                third.recv(1)
+            assert time.process_time() - cpu < 0.2  # the loop waits at the cap, it does not spin
+            assert load_access_log(tmp_path / "access.log") == []
+            first.close()
+            third.settimeout(2)
+            reply = b""
+            while chunk := third.recv(4096):
+                reply += chunk
+        counters = server.counters()
+    sink.close()
+    assert reply.startswith(b"HTTP/1.1 404 ")
+    assert [e.path for e in load_access_log(tmp_path / "access.log")] == ["/third"]
+    assert counters["peak_connections"] == 2
+
+
+def test_a_client_that_never_reads_does_not_hold_the_others(tmp_path) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    # 2,000 answers of 16 KiB each: far more than the socket buffers hold, so a send stalls.
+    registry.redirect_target = "https://www.google.com/" + "x" * 16384
+    server = HoneyLinkServer(core)
+    server.start()
+    try:
+        with socket.create_connection(server.address, timeout=2) as greedy:
+            greedy.sendall(f"GET /t/{link.token} HTTP/1.1\r\n\r\n".encode("ascii") * 2000)
+            started = time.perf_counter()
+            conn = http.client.HTTPConnection(*server.address, timeout=2)
+            conn.request("GET", "/robots.txt")
+            assert conn.getresponse().status == 404
+            conn.close()
+            assert time.perf_counter() - started < 1
+            assert server.counters()["answers"]["302"] < 2000
+            started = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - started < 1
+    finally:
+        sink.close()
+
+
+def test_an_error_closes_only_its_own_connection(tmp_path, monkeypatch, capsys) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    handle = core.handle
+    calls = itertools.count()
+
+    def fail_once(*args):
+        if next(calls) == 0:
+            raise RuntimeError("boom")
+        return handle(*args)
+
+    monkeypatch.setattr(core, "handle", fail_once)
+    with HoneyLinkServer(core) as server:
+        failed = exchange(server.address, "GET /first HTTP/1.1\r\n\r\n")
+        served = exchange(server.address, "GET /second HTTP/1.1\r\nConnection: close\r\n\r\n")
+    sink.close()
+    assert failed == b""
+    assert served.startswith(b"HTTP/1.1 404 ")
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and "RuntimeError('boom')" in errors[0]
+
+
+def test_a_failing_accept_does_not_spin_the_loop(tmp_path, monkeypatch) -> None:
+    registry, link, sink, core = _make_core(tmp_path)
+    accept = socket.socket.accept
+    attempts = []
+
+    def out_of_descriptors(self):
+        attempts.append(time.perf_counter())
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    with HoneyLinkServer(core) as server:
+        monkeypatch.setattr(socket.socket, "accept", out_of_descriptors)
+        with socket.create_connection(server.address, timeout=3) as sock:
+            sock.sendall(b"GET /late HTTP/1.1\r\nConnection: close\r\n\r\n")
+            time.sleep(1)
+            monkeypatch.setattr(socket.socket, "accept", accept)
+            reply = sock.recv(4096)
+    sink.close()
+    assert 1 <= len(attempts) <= 4
+    assert reply.startswith(b"HTTP/1.1 404 ")
 
 
 def test_every_minted_link_resolves_back() -> None:
