@@ -19,7 +19,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
-from ._util import canonical_dumps, decode, encode
+from ._util import decode, dump
 from .errors import BadBoundaries, ExportError
 from .honeylink import AccessLogEntry, parse_user_agent
 from .notify import EventTimeline
@@ -66,9 +66,12 @@ class GeoTable:
     def load_csv(cls, path: str | Path) -> GeoTable:
         entries = []
         with open(path, newline="", encoding="utf-8") as handle:
-            for row in csv.reader(handle):
+            reader = csv.reader(handle)
+            for row in reader:
                 if not row or row[0].strip() == "cidr":
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"line {reader.line_num}: expected cidr,country")
                 entries.append((row[0].strip(), row[1].strip()))
         return cls(entries)
 
@@ -226,7 +229,7 @@ def export_report(report: Report, out_dir: str | Path) -> list[Path]:
     try:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
-        report_path.write_text(canonical_dumps(encode(report)), encoding="utf-8")
+        dump(report, report_path)
         rows = [
             (country, count)
             for country, count in report.total.country_histogram.items()

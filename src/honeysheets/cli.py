@@ -11,11 +11,13 @@ import argparse
 import json
 import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
+from typing import Iterator
 
-from ._util import canonical_dumps, compact_dumps, decode, encode, parse_ts
+from ._util import compact_dumps, decode, dump, parse_ts
 from .analytics import GeoTable, aggregate, export_report, load_windows
 from .errors import HoneySheetsError
 from .honeygen import SheetConfig, build_honey_sheet, derive_sheet_id
@@ -34,7 +36,6 @@ from .sheetstore import (
     Snapshot,
     diff,
     sheets_from_json,
-    sheets_to_json,
     take_snapshot,
 )
 from .simharness import (
@@ -63,6 +64,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Name `path` in a data error raised while its contents are read."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        raise HoneySheetsError(f"{path}: {exc}") from exc
+
+
 @dataclass
 class Config:
     """Operator defaults shared by the subcommands; flags override."""
@@ -75,7 +85,8 @@ class Config:
     def load(cls, path: str | None) -> Config:
         if path is None:
             return cls()
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with _reading(path):
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise HoneySheetsError(f"config {path}: expected a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -87,7 +98,8 @@ class Config:
 def _load_registry(path: str, config: Config) -> LinkRegistry:
     registry_path = Path(path)
     if registry_path.exists():
-        return LinkRegistry.load(registry_path)
+        with _reading(path):
+            return LinkRegistry.load(registry_path)
     return LinkRegistry(
         redirect_target=config.redirect_target,
         short_base=config.short_base,
@@ -118,33 +130,34 @@ def _cmd_gen(args: argparse.Namespace, config: Config) -> int:
             rng_seed=sheet_seed,
         )
         sheets.append(build_honey_sheet(sheet_config, links))
-    Path(args.out).write_text(sheets_to_json(sheets), encoding="utf-8")
+    dump(sheets, args.out)
     registry.save(args.registry)
     print(f"wrote {len(sheets)} sheet(s) to {args.out}", file=sys.stderr)
     return 0
 
 
 def _load_snapshot(path: str) -> Snapshot:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, dict) and "taken_at" in data:
-        return decode(Snapshot, data)
-    sheets = data if isinstance(data, list) else [data]
-    if len(sheets) != 1:
-        raise HoneySheetsError(f"{path}: expected one sheet, found {len(sheets)}")
-    return take_snapshot(decode(HoneySheet, sheets[0]), parse_ts("1970-01-01T00:00:00Z"))
+    with _reading(path):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(data, dict) and "taken_at" in data:
+            return decode(Snapshot, data)
+        sheets = data if isinstance(data, list) else [data]
+        if len(sheets) != 1:
+            raise HoneySheetsError(f"{path}: expected one sheet, found {len(sheets)}")
+        return take_snapshot(decode(HoneySheet, sheets[0]), parse_ts("1970-01-01T00:00:00Z"))
 
 
 def _cmd_diff(args: argparse.Namespace, config: Config) -> int:
     before = _load_snapshot(args.before)
     after = _load_snapshot(args.after)
-    changes = diff(before, after)
-    Path(args.out).write_text(changes.to_json(), encoding="utf-8")
+    dump(diff(before, after), args.out)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace, config: Config) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    registry = LinkRegistry.load(args.registry)
+    with _reading(args.registry):
+        registry = LinkRegistry.load(args.registry)
     if args.redirect:
         registry.redirect_target = args.redirect
     sink = AccessLogWriter(args.log)
@@ -174,8 +187,7 @@ def _cmd_serve(args: argparse.Namespace, config: Config) -> int:
 
 def _cmd_ingest(args: argparse.Namespace, config: Config) -> int:
     timeline, quarantined = ingest_mailbox(args.mailbox)
-    rows = [encode(event) for event in timeline]
-    Path(args.out).write_text(canonical_dumps(rows), encoding="utf-8")
+    dump(timeline.events, args.out)
     counts = timeline.counts()
     print(
         f"ingested {len(timeline)} events "
@@ -189,7 +201,8 @@ def _cmd_ingest(args: argparse.Namespace, config: Config) -> int:
 def _cmd_leak(args: argparse.Namespace, config: Config) -> int:
     if args.theme not in THEMES:
         raise _UsageError(f"unknown theme {args.theme!r}; choose from {sorted(THEMES)}")
-    sheets = sheets_from_json(Path(args.sheets).read_text(encoding="utf-8"))
+    with _reading(args.sheets):
+        sheets = sheets_from_json(Path(args.sheets).read_text(encoding="utf-8"))
     plan = LeakPlan(
         theme=THEMES[args.theme],
         start_date=parse_ts(args.start),
@@ -205,19 +218,25 @@ def _cmd_leak(args: argparse.Namespace, config: Config) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, config: Config) -> int:
-    sheets = sheets_from_json(Path(args.sheets).read_text(encoding="utf-8"))
-    registry = LinkRegistry.load(args.registry)
+    with _reading(args.sheets):
+        sheets = sheets_from_json(Path(args.sheets).read_text(encoding="utf-8"))
+    with _reading(args.registry):
+        registry = LinkRegistry.load(args.registry)
     if args.profiles:
-        data = json.loads(Path(args.profiles).read_text(encoding="utf-8"))
-        profiles = [decode(VisitorProfile, item) for item in data]
+        with _reading(args.profiles):
+            data = json.loads(Path(args.profiles).read_text(encoding="utf-8"))
+            profiles = [decode(VisitorProfile, item) for item in data]
     else:
         profiles = default_profiles()
     targets = None
     if args.targets:
-        targets = decode(
-            TargetCounts, json.loads(Path(args.targets).read_text(encoding="utf-8"))
-        )
-    geo = GeoTable.load_csv(args.geo) if args.geo else None
+        with _reading(args.targets):
+            data = json.loads(Path(args.targets).read_text(encoding="utf-8"))
+            targets = decode(TargetCounts, data)
+    geo = None
+    if args.geo:
+        with _reading(args.geo):
+            geo = GeoTable.load_csv(args.geo)
     trace = simulate(
         profiles,
         sheets,
@@ -228,15 +247,18 @@ def _cmd_simulate(args: argparse.Namespace, config: Config) -> int:
         geo=geo,
         start=parse_ts(args.start) if args.start else DEFAULT_START,
     )
-    Path(args.out).write_text(trace.to_json(), encoding="utf-8")
+    dump(trace, args.out)
     print(f"simulated {len(trace)} action(s); ground truth: {trace.meta}", file=sys.stderr)
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace, config: Config) -> int:
-    trace = ActionTrace.from_json(Path(args.trace).read_text(encoding="utf-8"))
-    sheets = sheets_from_json(Path(args.sheets).read_text(encoding="utf-8"))
-    registry = LinkRegistry.load(args.registry)
+    with _reading(args.trace):
+        trace = ActionTrace.from_json(Path(args.trace).read_text(encoding="utf-8"))
+    with _reading(args.sheets):
+        sheets = sheets_from_json(Path(args.sheets).read_text(encoding="utf-8"))
+    with _reading(args.registry):
+        registry = LinkRegistry.load(args.registry)
     with AccessLogWriter(args.log) as sink:
         core = LinkServerCore(registry, sink)
         replay(trace, {s.sheet_id: s for s in sheets}, core, Path(args.mailbox))
@@ -248,18 +270,22 @@ def _cmd_replay(args: argparse.Namespace, config: Config) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, config: Config) -> int:
-    timeline = EventTimeline.from_dict(
-        json.loads(Path(args.timeline).read_text(encoding="utf-8"))
-    )
+    with _reading(args.timeline):
+        timeline = EventTimeline.from_dict(
+            json.loads(Path(args.timeline).read_text(encoding="utf-8"))
+        )
     torn: list[int] = []
     logs = load_access_log(args.log, torn)
     for line in torn:
         print(f"warning: {args.log} line {line} is torn; left it out", file=sys.stderr)
-    geo = GeoTable.load_csv(args.geo)
-    windows = load_windows(args.bounds)
+    with _reading(args.geo):
+        geo = GeoTable.load_csv(args.geo)
+    with _reading(args.bounds):
+        windows = load_windows(args.bounds)
     controlled_tokens = None
     if args.registry:
-        registry = LinkRegistry.load(args.registry)
+        with _reading(args.registry):
+            registry = LinkRegistry.load(args.registry)
         controlled_tokens = {link.token for link in registry.by_class("controlled")}
     report = aggregate(timeline, logs, geo, windows, controlled_tokens=controlled_tokens)
     written = export_report(report, args.out)

@@ -28,7 +28,7 @@ from pathlib import Path
 from random import Random
 from urllib.parse import urlsplit
 
-from ._util import canonical_dumps, compact_dumps, decode, encode, utcnow
+from ._util import compact_dumps, decode, dump, encode, utcnow
 from .errors import BadDestination, KeyspaceExhausted
 
 TOKEN_ALPHABET = string.ascii_letters + string.digits
@@ -125,7 +125,7 @@ class LinkRegistry:
         return [link for link in self.links.values() if link.sheet_id == sheet_id]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_dumps(encode(self)), encoding="utf-8")
+        dump(self, path)
 
     @classmethod
     def load(cls, path: str | Path) -> LinkRegistry:

@@ -16,12 +16,11 @@ contract the round-trip tests enforce.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from ._util import canonical_dumps, decode, encode, optional_field
+from ._util import canonical_dumps, decode_array, optional_field
 from .errors import BadIndex, EmptyChangeSet, SheetMismatch
 
 RGB = tuple[int, int, int]
@@ -90,15 +89,15 @@ class HoneySheet:
 
 
 def sheets_to_json(sheets: Iterable[HoneySheet]) -> str:
-    return canonical_dumps([encode(sheet) for sheet in sheets])
+    return canonical_dumps(list(sheets))
 
 
 def sheets_from_json(text: str) -> list[HoneySheet]:
-    """Load a sheet collection; accepts a JSON array or a single sheet object."""
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    return [decode(HoneySheet, item) for item in data]
+    """Load a sheet collection; accepts a JSON array or a single sheet object.
+
+    Sheets are decoded one at a time, so only one sheet's raw JSON is held at once.
+    """
+    return decode_array(HoneySheet, text)
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ class ChangeSet:
         return not (self.cell_changes or self.structural_changes or self.layout_changes)
 
     def to_json(self) -> str:
-        return canonical_dumps(encode(self))
+        return canonical_dumps(self)
 
     def body_hash(self) -> str:
         """Stable digest of the change content, used as a deduplication key."""

@@ -141,7 +141,7 @@ class ActionTrace:
         return iter(self.actions)
 
     def to_json(self) -> str:
-        return canonical_dumps(encode(self))
+        return canonical_dumps(self)
 
     @classmethod
     def from_json(cls, text: str) -> ActionTrace:

@@ -227,7 +227,7 @@ def test_serve_command_over_subprocess(tmp_path) -> None:
             raise AssertionError("expected the redirect to surface as HTTPError")
     finally:
         proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)
     assert proc.returncode == 0
     entries = load_access_log(log_path)
     assert len(entries) == 1 and entries[0].token == token
@@ -343,3 +343,62 @@ def test_report_skips_a_torn_last_log_line_and_rejects_a_bad_one(tmp_path, capsy
     log.write_text("".join(lines[:2]) + "{not json\n" + "".join(lines[3:]))
     assert _replay_and_report(replay, report, out, times=0) == 2
     assert "line 3:" in capsys.readouterr().err
+
+
+def _cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "honeysheets.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_torn_sheets_and_trace_are_data_errors_naming_the_file(tmp_path) -> None:
+    sheets, registry = tmp_path / "sheets.json", tmp_path / "registry.json"
+    trace, mailbox, log = tmp_path / "trace.json", tmp_path / "mailbox", tmp_path / "access.log"
+    assert run(["gen", "--count", "2", "--rows", "3", "--seed", "3", "--out", str(sheets),
+                "--registry", str(registry)]) == 0
+    assert run(["simulate", "--seed", "1", "--days", "3", "--sheets", str(sheets),
+                "--registry", str(registry), "--out", str(trace)]) == 0
+    replay = ["replay", "--trace", str(trace), "--sheets", str(sheets), "--registry",
+              str(registry), "--mailbox", str(mailbox), "--log", str(log)]
+    whole = sheets.read_text(encoding="utf-8")
+    # Cut just after the first sheet, as a write that stopped there would.
+    sheets.write_text(whole[: whole.index("\n  },") + 4], encoding="utf-8")
+    for args in (
+        ["leak", "--theme", "hacker", "--days", "2", "--sheets", str(sheets),
+         "--out", str(tmp_path / "posts")],
+        ["simulate", "--sheets", str(sheets), "--registry", str(registry),
+         "--out", str(tmp_path / "t2.json")],
+        replay,
+    ):
+        done = _cli(*args)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"error: {sheets}: Expecting ',' delimiter"), done.stderr
+        assert "Traceback" not in done.stderr
+    sheets.write_text(whole, encoding="utf-8")
+    actions = trace.read_text(encoding="utf-8")
+    trace.write_text(actions[: actions.index("\n    },") + 6], encoding="utf-8")
+    done = _cli(*replay)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {trace}: Expecting ',' delimiter"), done.stderr
+    assert "Traceback" not in done.stderr
+    assert not log.exists() and not mailbox.exists()
+
+
+def test_torn_profiles_targets_timeline_and_geo_name_their_file(tmp_path, capsys) -> None:
+    sheets, registry = tmp_path / "sheets.json", tmp_path / "registry.json"
+    torn = tmp_path / "torn.json"
+    torn.write_text('{"experiments": []', encoding="utf-8")
+    assert run(["gen", "--out", str(sheets), "--registry", str(registry)]) == 0
+    make_geo_table().save_csv(tmp_path / "geo.csv")
+    simulate = ["simulate", "--sheets", str(sheets), "--registry", str(registry),
+                "--out", str(tmp_path / "trace.json")]
+    report = ["report", "--log", str(tmp_path / "access.log"), "--geo", str(tmp_path / "geo.csv"),
+              "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    for args in ([*simulate, "--profiles", str(torn)], [*simulate, "--targets", str(torn)],
+                 [*report, "--timeline", str(torn), "--bounds", str(torn)]):
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {torn}: Expecting ',' delimiter")
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("cidr,country\n10.0.0.0/8\n", encoding="utf-8")
+    assert run([*simulate, "--geo", str(short_row)]) == 2
+    assert capsys.readouterr().err == f"error: {short_row}: line 2: expected cidr,country\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -114,4 +115,4 @@ def test_file_sink_writes_each_post(tmp_path) -> None:
     receipts = [sink.post(post) for post in posts]
     assert len(set(receipts)) == 4
     for receipt, post in zip(receipts, posts):
-        assert post.rendered_text in open(receipt, encoding="utf-8").read()
+        assert post.rendered_text in Path(receipt).read_text(encoding="utf-8")
